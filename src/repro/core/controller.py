@@ -24,7 +24,7 @@ and ``benchmarks/test_bench_controller.py`` measures ours.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.system import SimulatedSystem
 from repro.metrics import stats
@@ -84,6 +84,39 @@ class Baseline:
             raise ValueError(f"baseline throughput must be positive, got {self.throughput!r}")
 
 
+def check_search_knobs(
+    *,
+    window: int,
+    step: int,
+    initial_mpl: Optional[int] = None,
+    max_mpl: Optional[int] = None,
+    max_iterations: Optional[int] = None,
+    target_p95_s: Optional[float] = None,
+    floor: int = 1,
+) -> None:
+    """The one argument rule every MPL search loop and control spec uses.
+
+    ``None`` skips a knob the caller does not have (e.g. a jump-started
+    ``initial_mpl``); ``floor`` is the lowest MPL the lever can take —
+    1 for an engine, one slot per shard for a cluster.
+    """
+    if target_p95_s is not None and target_p95_s <= 0:
+        raise ValueError(f"HIGH p95 target must be positive, got {target_p95_s!r}")
+    if initial_mpl is not None and initial_mpl < floor:
+        scope = "" if floor == 1 else f" (one slot for each of {floor} shards)"
+        raise ValueError(f"initial_mpl must be >= {floor}{scope}, got {initial_mpl!r}")
+    if max_mpl is not None and initial_mpl is not None and max_mpl < initial_mpl:
+        raise ValueError(
+            f"max_mpl {max_mpl!r} must be >= initial_mpl {initial_mpl!r}"
+        )
+    if window < 2:
+        raise ValueError(f"window must be >= 2, got {window!r}")
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step!r}")
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations!r}")
+
+
 class MplController:
     """Feedback loop adjusting a live system's MPL.
 
@@ -128,16 +161,10 @@ class MplController:
         max_mpl: int = 512,
         check_response_time: bool = True,
     ):
-        if initial_mpl < 1:
-            raise ValueError(f"initial_mpl must be >= 1, got {initial_mpl!r}")
-        if max_mpl < initial_mpl:
-            raise ValueError(
-                f"max_mpl {max_mpl!r} must be >= initial_mpl {initial_mpl!r}"
-            )
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window!r}")
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step!r}")
+        check_search_knobs(
+            initial_mpl=initial_mpl, max_mpl=max_mpl, window=window,
+            step=step, max_iterations=max_iterations,
+        )
         self.system = system
         self.baseline = baseline
         self.thresholds = thresholds
@@ -154,7 +181,6 @@ class MplController:
         # estimates of the MPL'd and unlimited systems carry different
         # transient biases.
         self.check_response_time = check_response_time
-        self._feasibility: Dict[int, bool] = {}
         self._window_arrivals: List[int] = []
 
     # -- observation -----------------------------------------------------------
@@ -263,7 +289,6 @@ class MplController:
             self.system.frontend.set_mpl(mpl)
             observation = self._observe(mpl)
             trajectory.append(observation)
-            self._feasibility[mpl] = observation.feasible
             if observation.feasible:
                 if lowest_feasible is None or mpl < lowest_feasible:
                     lowest_feasible = mpl
@@ -306,11 +331,7 @@ class MplController:
                     else:
                         next_mpl = mpl + self.step
                     mpl = min(next_mpl, self.max_mpl)
-        final = (
-            lowest_feasible
-            if lowest_feasible is not None
-            else self._lowest_known_feasible(mpl)
-        )
+        final = lowest_feasible if lowest_feasible is not None else mpl
         self.system.frontend.set_mpl(final)
         return ControllerReport(
             final_mpl=final,
@@ -318,10 +339,6 @@ class MplController:
             converged=False,
             trajectory=trajectory,
         )
-
-    def _lowest_known_feasible(self, fallback: int) -> int:
-        feasible = [m for m, ok in self._feasibility.items() if ok]
-        return min(feasible) if feasible else fallback
 
 
 # -- per-class SLO control -----------------------------------------------------
@@ -367,7 +384,10 @@ class PerClassSloController:
 
     Requires a running system whose workload carries HIGH-priority
     transactions (e.g. ``high_priority_fraction > 0`` with the
-    ``priority`` external queue policy).
+    ``priority`` external queue policy).  The search is scope-agnostic:
+    :class:`ClusterSloController` reuses it over a cluster's global MPL
+    by overriding only the lever (``_apply``), its floor
+    (``_floor``) and the report types (``_observation`` / ``_report``).
     """
 
     #: Windows are extended until they contain at least this many
@@ -386,18 +406,12 @@ class PerClassSloController:
         max_mpl: int = 128,
         max_iterations: int = 30,
     ):
-        if target_p95_s <= 0:
-            raise ValueError(f"target_p95_s must be positive, got {target_p95_s!r}")
-        if initial_mpl < 1:
-            raise ValueError(f"initial_mpl must be >= 1, got {initial_mpl!r}")
-        if max_mpl < initial_mpl:
-            raise ValueError(
-                f"max_mpl {max_mpl!r} must be >= initial_mpl {initial_mpl!r}"
-            )
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window!r}")
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step!r}")
+        self.floor = self._floor(system)
+        check_search_knobs(
+            target_p95_s=target_p95_s, initial_mpl=initial_mpl,
+            max_mpl=max_mpl, window=window, step=step,
+            max_iterations=max_iterations, floor=self.floor,
+        )
         self.system = system
         self.target_p95_s = target_p95_s
         self.initial_mpl = initial_mpl
@@ -406,7 +420,25 @@ class PerClassSloController:
         self.max_mpl = max_mpl
         self.max_iterations = max_iterations
 
-    def _observe(self, mpl: int) -> SloObservation:
+    # -- the lever (what a scope overrides) -----------------------------------
+
+    @staticmethod
+    def _floor(system) -> int:
+        """The lowest MPL the lever can take."""
+        return 1
+
+    def _apply(self, mpl: int) -> None:
+        self.system.frontend.set_mpl(mpl)
+
+    def _observation(self, **fields) -> SloObservation:
+        return SloObservation(**fields)
+
+    def _report(self, **fields) -> SloReport:
+        return SloReport(**fields)
+
+    # -- the search -------------------------------------------------------------
+
+    def _observe(self, mpl: int):
         from repro.dbms.transaction import Priority
 
         records = self.system.run_transactions(self.window)
@@ -423,7 +455,7 @@ class PerClassSloController:
         elapsed = records[-1].completion_time - records[0].completion_time
         low_throughput = low_count / elapsed if elapsed > 0 else 0.0
         p95 = stats.percentile(high, 95.0)
-        return SloObservation(
+        return self._observation(
             mpl=mpl,
             completed=len(records),
             high_count=len(high),
@@ -432,23 +464,26 @@ class PerClassSloController:
             feasible=bool(high) and p95 <= self.target_p95_s,
         )
 
-    def tune(self) -> SloReport:
+    def tune(self):
         """Run observation/reaction iterations until convergence.
 
         Convergence: the controller sits at a feasible MPL whose
         immediate successor is known infeasible (the highest feasible
         value), or the feasible region reaches ``max_mpl``, or the
-        iteration budget runs out.
+        iteration budget runs out.  If even the floor misses the
+        target, the target is unattainable and the loop holds the
+        floor.
         """
         mpl = self.initial_mpl
-        trajectory: List[SloObservation] = []
+        floor = self.floor
+        trajectory = []
         highest_feasible: Optional[int] = None
         lowest_infeasible: Optional[int] = None
         step = self.step
         iteration = 0
         while iteration < self.max_iterations:
             iteration += 1
-            self.system.frontend.set_mpl(mpl)
+            self._apply(mpl)
             observation = self._observe(mpl)
             trajectory.append(observation)
             if observation.feasible:
@@ -457,7 +492,7 @@ class PerClassSloController:
                 if mpl >= self.max_mpl or (
                     lowest_infeasible is not None and mpl + 1 >= lowest_infeasible
                 ):
-                    return SloReport(
+                    return self._report(
                         final_mpl=mpl, iterations=iteration,
                         converged=True, trajectory=trajectory,
                     )
@@ -472,28 +507,27 @@ class PerClassSloController:
                 if lowest_infeasible is None or mpl < lowest_infeasible:
                     lowest_infeasible = mpl
                 if highest_feasible is not None and mpl - 1 <= highest_feasible:
-                    self.system.frontend.set_mpl(highest_feasible)
-                    return SloReport(
+                    self._apply(highest_feasible)
+                    return self._report(
                         final_mpl=highest_feasible, iterations=iteration,
                         converged=True, trajectory=trajectory,
                     )
-                if mpl <= 1:
-                    # even MPL 1 misses the SLO: the target is
-                    # unattainable on this system — hold the floor
-                    return SloReport(
-                        final_mpl=1, iterations=iteration,
+                if mpl <= floor:
+                    self._apply(floor)
+                    return self._report(
+                        final_mpl=floor, iterations=iteration,
                         converged=False, trajectory=trajectory,
                     )
                 if highest_feasible is None:
-                    next_mpl = max(1, mpl - step)
+                    next_mpl = max(floor, mpl - step)
                     step *= 2
                 else:
                     next_mpl = (mpl + highest_feasible) // 2
                     step = self.step
                 mpl = next_mpl
-        final = highest_feasible if highest_feasible is not None else 1
-        self.system.frontend.set_mpl(final)
-        return SloReport(
+        final = highest_feasible if highest_feasible is not None else floor
+        self._apply(final)
+        return self._report(
             final_mpl=final,
             iterations=iteration,
             converged=False,
@@ -502,6 +536,11 @@ class PerClassSloController:
 
 
 # -- elastic capacity control (clusters) --------------------------------------
+
+#: Split weight for dead/parked shards in a global-MPL re-split: small
+#: enough that the largest-remainder split leaves them the minimum of
+#: 1, without dividing by zero.  Both cluster controllers use it.
+PARKED_WEIGHT = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -550,11 +589,6 @@ class ElasticCapacityController:
     early still terminates (the kernel stops on its completion target
     regardless).
     """
-
-    #: Load-proportional weight floor for dead/parked shards: small
-    #: enough that the largest-remainder split leaves them the minimum
-    #: of 1, without dividing by zero.
-    PARKED_WEIGHT = 1e-9
 
     def __init__(
         self,
@@ -628,7 +662,7 @@ class ElasticCapacityController:
         self._manage_rotation(active, loads, utilization)
         active = self._active_indices()
         weights = [
-            (1.0 + loads[i]) if i in set(active) else self.PARKED_WEIGHT
+            (1.0 + loads[i]) if i in set(active) else PARKED_WEIGHT
             for i in range(len(system.shards))
         ]
         mpls = tuple(
@@ -705,67 +739,35 @@ class ClusterSloReport:
     trajectory: List[ClusterSloObservation]
 
 
-class ClusterSloController:
+class ClusterSloController(PerClassSloController):
     """Hold the *cluster-wide* HIGH p95 under a target while maximizing
     LOW throughput, driving the global MPL split as one lever.
 
-    :class:`PerClassSloController` lifted from single-engine to cluster
-    scope: the observation window is the cluster collector (every
-    shard's completions), and the reaction re-splits the *global* MPL
-    across shards via
+    :class:`PerClassSloController`'s search over a cluster lever: the
+    observation window is the cluster collector (every shard's
+    completions), and the reaction re-splits the *global* MPL across
+    shards via
     :meth:`~repro.core.cluster.ShardedExternalScheduler.set_global_mpl`
     with health-aware weights — each routable shard weighted by its
     current load (in-service + queued, so hot shards and cross-shard
-    fan-in pull capacity), dead/parked shards floored at the parked
-    weight, and shards whose circuit breaker is not closed discounted.
-    The search itself is the same highest-feasible bracket walk, except
-    the floor is one MPL slot per shard (``split_mpl`` needs that) —
-    a 2PC branch parked at its prepare gate occupies a slot, so a
-    cluster starved below one-per-shard would distributed-deadlock.
+    fan-in pull capacity), dead/parked shards floored at
+    :data:`PARKED_WEIGHT`, and shards whose circuit breaker is not
+    closed discounted.  The split is re-derived from live health at
+    every reaction, so the same global MPL can land differently as
+    shards heat up or trip their breakers.  The floor is one MPL slot
+    per shard (``split_mpl`` needs that) — a 2PC branch parked at its
+    prepare gate occupies a slot, so a cluster starved below
+    one-per-shard would distributed-deadlock.
     """
 
-    MIN_HIGH_SAMPLES = 20
-    MAX_EXTENSIONS = 6
     #: Weight multiplier for shards whose breaker is open/half-open.
     UNHEALTHY_DISCOUNT = 0.25
-    #: Weight floor for dead/parked shards (the elastic idiom).
-    PARKED_WEIGHT = 1e-9
+    #: The split the last ``_apply`` set, per shard.
+    _last_split: tuple = ()
 
-    def __init__(
-        self,
-        system,
-        target_p95_s: float,
-        initial_mpl: int,
-        window: int = 150,
-        step: int = 2,
-        max_mpl: int = 256,
-        max_iterations: int = 30,
-    ):
-        num_shards = len(system.shards)
-        if target_p95_s <= 0:
-            raise ValueError(f"target_p95_s must be positive, got {target_p95_s!r}")
-        if initial_mpl < num_shards:
-            raise ValueError(
-                f"initial_mpl {initial_mpl!r} cannot cover {num_shards} "
-                "shards (need >= 1 each)"
-            )
-        if max_mpl < initial_mpl:
-            raise ValueError(
-                f"max_mpl {max_mpl!r} must be >= initial_mpl {initial_mpl!r}"
-            )
-        if window < 2:
-            raise ValueError(f"window must be >= 2, got {window!r}")
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step!r}")
-        self.system = system
-        self.target_p95_s = target_p95_s
-        self.initial_mpl = initial_mpl
-        self.window = window
-        self.step = step
-        self.max_mpl = max_mpl
-        self.max_iterations = max_iterations
-        self.floor = num_shards
-        self._last_split: tuple = ()
+    @staticmethod
+    def _floor(system) -> int:
+        return len(system.shards)
 
     def _split_weights(self) -> List[float]:
         """Health-aware weights for the global-MPL split."""
@@ -779,7 +781,7 @@ class ClusterSloController:
         weights: List[float] = []
         for index, shard in enumerate(system.shards):
             if not router.routable(index):
-                weights.append(self.PARKED_WEIGHT)
+                weights.append(PARKED_WEIGHT)
                 continue
             weight = 1.0 + shard.frontend.in_service + shard.frontend.queue_length
             if breakers is not None and breakers[index].state != "closed":
@@ -787,115 +789,15 @@ class ClusterSloController:
             weights.append(weight)
         return weights
 
-    def _apply(self, mpl: int) -> tuple:
-        split = tuple(
+    def _apply(self, mpl: int) -> None:
+        self._last_split = tuple(
             self.system.scheduler.set_global_mpl(
                 mpl, weights=self._split_weights()
             )
         )
-        self._last_split = split
-        return split
 
-    def _observe(self, mpl: int, split: tuple) -> ClusterSloObservation:
-        from repro.dbms.transaction import Priority
+    def _observation(self, **fields) -> ClusterSloObservation:
+        return ClusterSloObservation(split=self._last_split, **fields)
 
-        records = self.system.run_transactions(self.window)
-        extensions = 0
-        while (
-            extensions < self.MAX_EXTENSIONS
-            and sum(1 for r in records if r.priority == Priority.HIGH)
-            < self.MIN_HIGH_SAMPLES
-        ):
-            extensions += 1
-            records = records + self.system.run_transactions(self.window)
-        high = [r.response_time for r in records if r.priority == Priority.HIGH]
-        low_count = len(records) - len(high)
-        elapsed = records[-1].completion_time - records[0].completion_time
-        low_throughput = low_count / elapsed if elapsed > 0 else 0.0
-        p95 = stats.percentile(high, 95.0)
-        return ClusterSloObservation(
-            mpl=mpl,
-            completed=len(records),
-            high_count=len(high),
-            high_p95=p95,
-            low_throughput=low_throughput,
-            split=split,
-            feasible=bool(high) and p95 <= self.target_p95_s,
-        )
-
-    def tune(self) -> ClusterSloReport:
-        """Run observation/reaction iterations until convergence.
-
-        Convergence mirrors :meth:`PerClassSloController.tune`: the
-        loop sits at a feasible global MPL whose immediate successor is
-        known infeasible, or the feasible region reaches ``max_mpl``,
-        or the iteration budget runs out.  The split is re-derived from
-        live health at every reaction, so the same global MPL can land
-        differently as shards heat up or trip their breakers.
-        """
-        mpl = self.initial_mpl
-        trajectory: List[ClusterSloObservation] = []
-        highest_feasible: Optional[int] = None
-        lowest_infeasible: Optional[int] = None
-        step = self.step
-        iteration = 0
-        while iteration < self.max_iterations:
-            iteration += 1
-            split = self._apply(mpl)
-            observation = self._observe(mpl, split)
-            trajectory.append(observation)
-            if observation.feasible:
-                if highest_feasible is None or mpl > highest_feasible:
-                    highest_feasible = mpl
-                if mpl >= self.max_mpl or (
-                    lowest_infeasible is not None and mpl + 1 >= lowest_infeasible
-                ):
-                    return ClusterSloReport(
-                        final_mpl=mpl, final_split=self._last_split,
-                        iterations=iteration, converged=True,
-                        trajectory=trajectory,
-                    )
-                if lowest_infeasible is None:
-                    next_mpl = min(self.max_mpl, mpl + step)
-                    step *= 2
-                else:
-                    next_mpl = (mpl + lowest_infeasible) // 2
-                    step = self.step
-                mpl = next_mpl
-            else:
-                if lowest_infeasible is None or mpl < lowest_infeasible:
-                    lowest_infeasible = mpl
-                if highest_feasible is not None and mpl - 1 <= highest_feasible:
-                    self._apply(highest_feasible)
-                    return ClusterSloReport(
-                        final_mpl=highest_feasible,
-                        final_split=self._last_split,
-                        iterations=iteration, converged=True,
-                        trajectory=trajectory,
-                    )
-                if mpl <= self.floor:
-                    # even one-slot-per-shard misses the SLO: the
-                    # target is unattainable on this cluster — hold
-                    # the floor
-                    self._apply(self.floor)
-                    return ClusterSloReport(
-                        final_mpl=self.floor, final_split=self._last_split,
-                        iterations=iteration, converged=False,
-                        trajectory=trajectory,
-                    )
-                if highest_feasible is None:
-                    next_mpl = max(self.floor, mpl - step)
-                    step *= 2
-                else:
-                    next_mpl = (mpl + highest_feasible) // 2
-                    step = self.step
-                mpl = next_mpl
-        final = highest_feasible if highest_feasible is not None else self.floor
-        self._apply(final)
-        return ClusterSloReport(
-            final_mpl=final,
-            final_split=self._last_split,
-            iterations=iteration,
-            converged=False,
-            trajectory=trajectory,
-        )
+    def _report(self, **fields) -> ClusterSloReport:
+        return ClusterSloReport(final_split=self._last_split, **fields)

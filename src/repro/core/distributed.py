@@ -46,10 +46,13 @@ import math
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.resilience import GOODPUT_STARVATION_LIMIT, GoodputStarved
+from repro.core.resilience import (
+    GOODPUT_STARVATION_LIMIT,
+    GoodputStarved,
+    seeded_backoff,
+)
 from repro.dbms.transaction import Transaction, TxStatus
 from repro.sim.engine import Event, Simulator
-from repro.sim.random import derive_seed
 from repro.sim.station import HashRouting
 
 #: Coordinator-placement policies: which participant runs the home
@@ -629,11 +632,11 @@ class TwoPhaseCoordinator:
             return
         # internal retries: deterministic exponential backoff + jitter
         self.retries += 1
-        exponent = min(ltx.attempts - 1, RETRY_MAX_EXPONENT)
-        delay = RETRY_BASE_BACKOFF_S * RETRY_BACKOFF_MULTIPLIER ** exponent
-        if ltx.rng is None:
-            ltx.rng = random.Random(derive_seed(self.seed, "2pc", ltx.tx.tid))
-        delay *= 1.0 + RETRY_JITTER_FRACTION * ltx.rng.random()
+        delay = seeded_backoff(
+            ltx, self.seed, "2pc", ltx.tx.tid, ltx.attempts - 1,
+            RETRY_BASE_BACKOFF_S, RETRY_BACKOFF_MULTIPLIER,
+            RETRY_JITTER_FRACTION, max_exponent=RETRY_MAX_EXPONENT,
+        )
         generation = ltx.generation
         timer = self.sim.timeout(delay)
         timer.add_callback(

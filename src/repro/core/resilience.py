@@ -73,6 +73,37 @@ class GoodputStarved(SimulationError):
     count on the simulated timeline, never wall-clock.
     """
 
+
+def seeded_backoff(
+    holder: Any,
+    seed: int,
+    stream: str,
+    tid: int,
+    retry: int,
+    base_s: float,
+    multiplier: float,
+    jitter_fraction: float,
+    max_exponent: Optional[int] = None,
+) -> float:
+    """One retry's delay: ``base_s * multiplier**retry`` plus seeded jitter.
+
+    ``retry`` counts from 0 and is capped at ``max_exponent`` when one
+    is given.  The delay is inflated by up to ``jitter_fraction`` of
+    itself, drawn from the transaction's own stream
+    ``random.Random(derive_seed(seed, stream, tid))``, which is created
+    on the first draw and kept on ``holder.rng``.  No draw happens when
+    ``jitter_fraction`` is 0.
+    """
+    if max_exponent is not None:
+        retry = min(retry, max_exponent)
+    delay = base_s * multiplier ** retry
+    if jitter_fraction > 0.0:
+        if holder.rng is None:
+            holder.rng = random.Random(derive_seed(seed, stream, tid))
+        delay *= 1.0 + jitter_fraction * holder.rng.random()
+    return delay
+
+
 #: Circuit-breaker states (the classic three-state machine).
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
@@ -556,15 +587,12 @@ class ResilienceRuntime:
             self.retries += 1
             self._bump("retries", tx.priority)
             self.events.append((self.sim.now, "retry", tx.priority))
-            delay = self.spec.base_backoff_s * (
-                self.spec.backoff_multiplier ** (st.attempts - 1)
+            spec = self.spec
+            delay = seeded_backoff(
+                st, self.seed, "resilience", tx.tid, st.attempts - 1,
+                spec.base_backoff_s, spec.backoff_multiplier,
+                spec.jitter_fraction,
             )
-            if self.spec.jitter_fraction > 0.0:
-                if st.rng is None:
-                    st.rng = random.Random(
-                        derive_seed(self.seed, "resilience", tx.tid)
-                    )
-                delay *= 1.0 + self.spec.jitter_fraction * st.rng.random()
             generation = st.generation
             timer = self.sim.timeout(delay)
             timer.add_callback(

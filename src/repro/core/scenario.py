@@ -55,7 +55,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.arrivals import (
     ArrivalSpec,
@@ -86,6 +86,7 @@ from repro.core.controller import (
     PerClassSloController,
     SloReport,
     Thresholds,
+    check_search_knobs,
 )
 from repro.core.distributed import (
     DistributedSpec,
@@ -376,12 +377,11 @@ class FeedbackMpl(ControlSpec):
     baseline_response_time: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # delegate range validation to the shared Thresholds rules
+        # delegate range validation to the controllers' shared rules
         self.thresholds()
-        if self.initial_mpl is not None and self.initial_mpl < 1:
-            raise ValueError(
-                f"initial_mpl must be >= 1 or None, got {self.initial_mpl!r}"
-            )
+        check_search_knobs(
+            initial_mpl=self.initial_mpl, window=self.window, step=self.step
+        )
         if self.baseline_transactions < 2:
             raise ValueError(
                 "baseline_transactions must be >= 2, got "
@@ -487,24 +487,21 @@ class PerClassSlo(ControlSpec):
     max_mpl: int = 128
     max_iterations: int = 30
 
+    #: The search loop this spec drives (a scope supplies its lever).
+    controller: ClassVar[type] = PerClassSloController
+
     def __post_init__(self) -> None:
-        if self.high_p95_target_s <= 0:
-            raise ValueError(
-                f"high_p95_target_s must be positive, got {self.high_p95_target_s!r}"
-            )
-        if self.initial_mpl < 1:
-            raise ValueError(f"initial_mpl must be >= 1, got {self.initial_mpl!r}")
-        if self.max_mpl < self.initial_mpl:
-            raise ValueError(
-                f"max_mpl {self.max_mpl!r} must be >= initial_mpl "
-                f"{self.initial_mpl!r}"
-            )
+        check_search_knobs(
+            target_p95_s=self.high_p95_target_s, initial_mpl=self.initial_mpl,
+            max_mpl=self.max_mpl, window=self.window, step=self.step,
+            max_iterations=self.max_iterations,
+        )
 
     def config_mpl(self) -> Optional[int]:
         return self.initial_mpl
 
     def apply(self, system, scenario):
-        controller = PerClassSloController(
+        return self.controller(
             system,
             target_p95_s=self.high_p95_target_s,
             initial_mpl=self.initial_mpl,
@@ -512,8 +509,7 @@ class PerClassSlo(ControlSpec):
             step=self.step,
             max_mpl=self.max_mpl,
             max_iterations=self.max_iterations,
-        )
-        return controller.tune()
+        ).tune()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -580,11 +576,11 @@ class ElasticMpl(ControlSpec):
 
 
 @dataclasses.dataclass(frozen=True)
-class ClusterSlo(ControlSpec):
+class ClusterSlo(PerClassSlo):
     """Hold the *cluster-wide* HIGH p95 under a target, maximize LOW work.
 
-    :class:`PerClassSlo` lifted to cluster scope: one
-    :class:`~repro.core.controller.ClusterSloController` feedback loop
+    :class:`PerClassSlo` lifted to cluster scope: the same search loop,
+    run by :class:`~repro.core.controller.ClusterSloController`,
     observes the cluster collector and drives the *global* MPL split
     (health-aware weights over
     :meth:`~repro.core.cluster.ShardedExternalScheduler.set_global_mpl`)
@@ -594,48 +590,18 @@ class ClusterSlo(ControlSpec):
     no replicas) and HIGH-priority traffic.
     """
 
-    high_p95_target_s: float = 0.5
     initial_mpl: int = 16
-    window: int = 150
     step: int = 2
     max_mpl: int = 256
-    max_iterations: int = 30
 
-    def __post_init__(self) -> None:
-        if self.high_p95_target_s <= 0:
-            raise ValueError(
-                f"high_p95_target_s must be positive, got {self.high_p95_target_s!r}"
-            )
-        if self.initial_mpl < 1:
-            raise ValueError(f"initial_mpl must be >= 1, got {self.initial_mpl!r}")
-        if self.max_mpl < self.initial_mpl:
-            raise ValueError(
-                f"max_mpl {self.max_mpl!r} must be >= initial_mpl "
-                f"{self.initial_mpl!r}"
-            )
-        if self.window < 2:
-            raise ValueError(f"window must be >= 2, got {self.window!r}")
-        if self.step < 1:
-            raise ValueError(f"step must be >= 1, got {self.step!r}")
-
-    def config_mpl(self) -> Optional[int]:
-        return self.initial_mpl
+    controller: ClassVar[type] = ClusterSloController
 
     def apply(self, system, scenario):
         if not isinstance(system, ClusteredSystem):
             raise ValueError(
                 "ClusterSlo control needs a sharded topology (shards > 1)"
             )
-        controller = ClusterSloController(
-            system,
-            target_p95_s=self.high_p95_target_s,
-            initial_mpl=self.initial_mpl,
-            window=self.window,
-            step=self.step,
-            max_mpl=self.max_mpl,
-            max_iterations=self.max_iterations,
-        )
-        return controller.tune()
+        return super().apply(system, scenario)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -754,28 +720,25 @@ class ScenarioSpec:
                     f"(shards >= 2, no replicas; got {self.topology.shards} "
                     f"shard(s), {self.topology.replicas_per_shard} replica(s))"
                 )
-            if self.high_priority_fraction <= 0:
-                raise ValueError(
-                    "ClusterSlo control needs HIGH-priority traffic "
-                    "(high_priority_fraction > 0)"
-                )
-            if self.control.initial_mpl < self.topology.shards:
-                raise ValueError(
-                    f"ClusterSlo initial_mpl {self.control.initial_mpl} "
-                    f"cannot cover {self.topology.shards} shards "
-                    "(need >= 1 each)"
-                )
-        if isinstance(self.control, PerClassSlo):
+        elif isinstance(self.control, PerClassSlo):
             if self.topology.shards != 1 or self.topology.replicas_per_shard > 0:
                 raise ValueError(
                     "PerClassSlo control runs on a single engine "
                     f"(got {self.topology.shards} shard(s), "
                     f"{self.topology.replicas_per_shard} replica(s))"
                 )
+        if isinstance(self.control, PerClassSlo):
+            name = type(self.control).__name__
             if self.high_priority_fraction <= 0:
                 raise ValueError(
-                    "PerClassSlo control needs HIGH-priority traffic "
+                    f"{name} control needs HIGH-priority traffic "
                     "(high_priority_fraction > 0)"
+                )
+            if self.control.initial_mpl < self.topology.shards:
+                raise ValueError(
+                    f"{name} initial_mpl {self.control.initial_mpl} "
+                    f"cannot cover {self.topology.shards} shards "
+                    "(need >= 1 each)"
                 )
         if isinstance(self.control, ElasticMpl):
             if not self.is_clustered:

@@ -62,6 +62,7 @@ from repro.core.distributed import COORDINATOR_POLICIES, DistributedSpec
 from repro.core.faults import DegradeShard, FaultEvent, FaultSpec, KillShard, RestoreShard
 from repro.core.resilience import GoodputStarved, SHED_POLICIES, ResilienceSpec
 from repro.core.scenario import (
+    ClusterSlo,
     ElasticMpl,
     FeedbackMpl,
     MeasurementSpec,
@@ -396,7 +397,22 @@ class ScenarioWalker:
         clustered = topology.shards > 1 or topology.replicas_per_shard > 0
 
         if isinstance(control, PerClassSlo):
-            if topology.shards != 1 or topology.replicas_per_shard > 0:
+            if topology.shards > 1:
+                # a sharded topology lifts the SLO loop to cluster scope
+                # (plain shards, no replica groups); the sampled engine
+                # MPLs scale by the shard count, so every shard keeps
+                # at least one slot
+                control = ClusterSlo(
+                    high_p95_target_s=control.high_p95_target_s,
+                    initial_mpl=control.initial_mpl * topology.shards,
+                    window=control.window,
+                    max_mpl=control.max_mpl * topology.shards,
+                    max_iterations=control.max_iterations,
+                )
+                axes["control"] = control
+                topology = dataclasses.replace(topology, replicas_per_shard=0)
+                axes["topology"] = topology
+            elif topology.replicas_per_shard > 0:
                 # a truly single-engine topology: the SLO tuning loop
                 # drives one ExternalScheduler, not a cluster façade
                 topology = dataclasses.replace(
@@ -442,9 +458,10 @@ class ScenarioWalker:
         resilience: Optional[ResilienceSpec] = axes["resilience"]
         if resilience is not None:
             # the resilience gate composes with static/elastic capacity
-            # control; the per-shard tuning loops (feedback, SLO) run
-            # baseline twins outside the gate, so the axes stay apart
-            if isinstance(control, (FeedbackMpl, PerClassSlo)):
+            # control and with the cluster SLO loop (its split reads the
+            # breakers); the feedback loop runs baseline twins outside
+            # the gate, so it and the engine SLO loop stay apart from it
+            if isinstance(control, FeedbackMpl) or type(control) is PerClassSlo:
                 axes["resilience"] = None
                 resilience = None
         if resilience is not None and topology.replicas_per_shard > 0:
@@ -712,6 +729,13 @@ def oracle_mpl_sanity(ctx: OracleContext) -> None:
             raise OracleFailure(
                 f"elastic final MPLs {final} sum to {sum(final)}, "
                 f"not the global {spec.control.mpl}"
+            )
+    if isinstance(spec.control, ClusterSlo):
+        report = ctx.outcome.control
+        if sum(report.final_split) != report.final_mpl:
+            raise OracleFailure(
+                f"cluster SLO final split {report.final_split} sums to "
+                f"{sum(report.final_split)}, not its {report.final_mpl}"
             )
     router = system.router
     for index, frontend in enumerate(frontends):

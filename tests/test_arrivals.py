@@ -304,7 +304,7 @@ def _stack(mpl=None):
 
 
 class TestClosedPopulation:
-    """Behavior of the closed source (formerly tests/test_clients.py)."""
+    """Behavior of the closed source."""
 
     def test_keeps_n_outstanding(self):
         sim, streams, frontend, collector, workload = _stack()
@@ -363,7 +363,7 @@ class TestClosedPopulation:
 
 
 class TestOpenPoissonSource:
-    """Behavior of the open source (formerly tests/test_clients.py)."""
+    """Behavior of the open source."""
 
     def test_rate(self):
         sim, streams, frontend, collector, workload = _stack(mpl=50)

@@ -15,7 +15,9 @@ import pytest
 from repro.core.faults import FaultSpec, KillShard, RestoreShard
 from repro.core.resilience import ResilienceSpec
 from repro.core.scenario import (
+    ClusterSlo,
     MeasurementSpec,
+    PerClassSlo,
     ScenarioSpec,
     ScenarioValidationError,
     StaticMpl,
@@ -111,6 +113,23 @@ class TestWalkerValidity:
                 assert spec.topology.shards >= 2
             if spec.resilience.queue_cap is not None:
                 assert spec.is_open
+
+    def test_slo_control_takes_the_scope_of_its_topology(self):
+        specs = ScenarioWalker(seed=0).specs(75)
+        cluster = [s for s in specs if isinstance(s.control, ClusterSlo)]
+        engine = [s for s in specs if type(s.control) is PerClassSlo]
+        assert cluster and engine
+        for spec in cluster:
+            assert spec.topology.shards >= 2
+            assert spec.topology.replicas_per_shard == 0
+            assert spec.high_priority_fraction > 0
+            assert spec.control.initial_mpl >= spec.topology.shards
+        for spec in engine:
+            assert spec.topology.shards == 1
+            assert spec.topology.replicas_per_shard == 0
+        # the cluster loop composes with the resilience axis (its split
+        # reads the breakers), so the walk exercises that path too
+        assert any(s.resilience is not None for s in cluster)
 
 
 class TestFaultTimelineSafety:
@@ -222,6 +241,20 @@ class TestShrinker:
         assert minimized.measurement.transactions <= 30
         assert minimized.measurement.metrics == ("standard",)
         assert minimized.high_priority_fraction == 0.0
+
+    def test_shrink_keeps_high_traffic_under_either_slo_scope(self):
+        for topology, control in (
+            (TopologySpec(), PerClassSlo(initial_mpl=4)),
+            (TopologySpec(shards=4, routing="hash"), ClusterSlo(initial_mpl=8)),
+        ):
+            spec = ScenarioSpec(
+                topology=topology, control=control, policy="priority",
+                high_priority_fraction=0.2,
+                measurement=MeasurementSpec(transactions=100), seed=4,
+            )
+            for candidate in fuzz._shrink_candidates(spec):
+                if isinstance(candidate.control, PerClassSlo):
+                    assert candidate.high_priority_fraction == 0.2
 
     def test_shrink_preserves_the_failing_property(self, monkeypatch):
         def needs_faults(ctx):

@@ -304,6 +304,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             # explicit baseline carries no utilizations to jump-start from
             FeedbackMpl(baseline_throughput=50.0, baseline_response_time=0.1)
+        # the loop's own knobs fail at construction, before the
+        # baseline twin runs, and validate() reports them at /control
+        for bad in ({"window": 1}, {"step": 0}):
+            with pytest.raises(ValueError):
+                FeedbackMpl(initial_mpl=4, **bad)
+            with pytest.raises(ScenarioValidationError) as excinfo:
+                ScenarioSpec.validate({"control": {"type": "feedback", **bad}})
+            assert [path for path, _ in excinfo.value.errors] == ["/control"]
 
     def test_sharded_feedback_needs_explicit_initial_mpl(self):
         with pytest.raises(ValueError):
@@ -730,6 +738,21 @@ class TestPerClassSlo:
             PerClassSloController(
                 system, target_p95_s=0.1, initial_mpl=2, step=0
             )
+        with pytest.raises(ValueError, match="max_iterations"):
+            PerClassSloController(
+                system, target_p95_s=0.1, initial_mpl=2, max_iterations=0
+            )
+        # the spec applies the controller's rule, so a bad knob never
+        # reaches a run: max_iterations=0 used to pin the engine to
+        # MPL 1 without a single observation
+        for bad in ({"window": 1}, {"step": 0}, {"max_iterations": 0}):
+            with pytest.raises(ValueError):
+                PerClassSlo(**bad)
+            with pytest.raises(ScenarioValidationError) as excinfo:
+                ScenarioSpec.validate(
+                    {"control": {"type": "per_class_slo", **bad}}
+                )
+            assert [path for path, _ in excinfo.value.errors] == ["/control"]
 
 
 class TestScenarioCli:
