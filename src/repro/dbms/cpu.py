@@ -82,6 +82,7 @@ class ProcessorSharingPool(Station):
         self._last_settle = sim.now
         self._timer_generation = 0
         self._timer_callback = self._on_timer  # no per-arm closure
+        self._rearm = sim.rearm  # one heap entry per instant (see _arm_timer)
         self._fire = sim._fire_now  # same-instant completion lane
         self._weighted_jobs = 0  # active jobs with weight != 1.0
         #: The shared service rate while all weights are 1.0 (None when
@@ -149,8 +150,7 @@ class ProcessorSharingPool(Station):
                 least = remaining
             self._least_remaining = least  # cache covers the new job now
             if rate > _EPSILON:
-                timer = self.sim.timeout(max(0.0, least / rate), value=generation)
-                timer._cb = self._timer_callback
+                self._rearm(self, max(0.0, least / rate), generation, self._timer_callback)
         else:
             self._arm_timer()
         return event
@@ -382,10 +382,10 @@ class ProcessorSharingPool(Station):
         if next_finish is None:
             return
         # The generation travels as the timer's value so arming needs no
-        # closure; a stale timer (superseded by a reallocation) is
-        # recognized and ignored in the shared callback.
-        timer = self.sim.timeout(max(0.0, next_finish), value=generation)
-        timer._cb = self._timer_callback
+        # closure.  A re-arm within the same instant replaces the pending
+        # timer (Simulator.rearm); one armed at an earlier instant still
+        # fires, is recognized as stale and ignored in the shared callback.
+        self._rearm(self, max(0.0, next_finish), generation, self._timer_callback)
 
     def _on_timer(self, event) -> None:
         if event._value != self._timer_generation:
@@ -401,8 +401,7 @@ class ProcessorSharingPool(Station):
             # second scan is needed
             self._timer_generation = generation = self._timer_generation + 1
             if least is not None and rate > _EPSILON:
-                timer = self.sim.timeout(max(0.0, least / rate), value=generation)
-                timer._cb = self._timer_callback
+                self._rearm(self, max(0.0, least / rate), generation, self._timer_callback)
         else:
             self._arm_timer()
 

@@ -17,16 +17,20 @@ Sanity anchors (enforced by the test suite):
   insensitive to C².
 * C² = 1 is M/M/1 at every MPL (exponential sizes make the MPL
   irrelevant for the mean).
+
+Like :mod:`repro.queueing.qbd`, the model imports numpy only when it
+builds or solves the chain.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.queueing.qbd import compute_rate_matrix, geometric_tail_sums
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def h2_params(mean: float, scv: float) -> Tuple[float, float, float]:
@@ -128,6 +132,8 @@ class MplPsQueue:
 
     def repeating_blocks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A0, A1, A2) of the repeating portion (levels n ≥ MPL)."""
+        import numpy as np
+
         m = self.mpl
         lam, prob_p, prob_q = self.arrival_rate, self.p, self.q
         size = m + 1
@@ -149,6 +155,8 @@ class MplPsQueue:
 
     def boundary_up(self, level: int) -> np.ndarray:
         """Arrival block from boundary level ``level`` (< MPL)."""
+        import numpy as np
+
         size = level + 1
         up = np.zeros((size, size + 1))
         for i in range(size):
@@ -158,6 +166,8 @@ class MplPsQueue:
 
     def boundary_down(self, level: int) -> np.ndarray:
         """Completion block from boundary level ``level`` (1..MPL)."""
+        import numpy as np
+
         size = level + 1
         down = np.zeros((size, level))
         for i in range(size):
@@ -170,6 +180,8 @@ class MplPsQueue:
 
     def boundary_local(self, level: int) -> np.ndarray:
         """Diagonal local block at boundary level ``level`` (< MPL)."""
+        import numpy as np
+
         size = level + 1
         local = np.zeros((size, size))
         for i in range(size):
@@ -186,6 +198,8 @@ class MplPsQueue:
         of level n for n = 0..MPL and levels beyond follow
         ``pi_{MPL+j} = pi_MPL R^j``.
         """
+        import numpy as np
+
         if self._solution is not None:
             return self._solution
         if self.load >= 1.0:
@@ -237,6 +251,8 @@ class MplPsQueue:
 
     def level_probabilities(self, max_level: int) -> List[float]:
         """P(N = n) for n = 0..``max_level``."""
+        import numpy as np
+
         pis, rate_matrix = self.solve()
         m = self.mpl
         probabilities = []

@@ -12,13 +12,18 @@ with A0/A1/A2 the up/local/down transition blocks of the repeating
 portion.  :func:`compute_rate_matrix` finds R by the classic fixed
 point iteration; helpers compute the geometric tail sums needed for
 normalization and mean queue lengths.
+
+numpy is imported by the functions that compute with it, so importing
+this module (and the package) needs only the standard library; the
+solver needs the ``models`` extra.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QbdConvergenceError(RuntimeError):
@@ -38,6 +43,8 @@ def compute_rate_matrix(
     from 0, which converges monotonically for irreducible positive
     recurrent QBDs.
     """
+    import numpy as np
+
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
@@ -72,6 +79,8 @@ def geometric_tail_sums(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     * total tail probability = ``pi_b (I - R)^-1 1``
     * sum of ``j * R^j``      = ``R (I - R)^-2`` (for mean levels).
     """
+    import numpy as np
+
     size = r.shape[0]
     identity = np.eye(size)
     inv1 = np.linalg.inv(identity - r)
@@ -80,6 +89,8 @@ def geometric_tail_sums(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def validate_generator_rows(blocks_row_sum: np.ndarray, tolerance: float = 1e-8) -> None:
     """Assert a generator's row sums vanish (used by model unit tests)."""
+    import numpy as np
+
     worst = float(np.max(np.abs(blocks_row_sum)))
     if worst > tolerance:
         raise ValueError(f"generator rows sum to {worst:.3e}, expected 0")

@@ -34,6 +34,11 @@ millions of events, almost all of which have exactly one waiter:
   references anymore (checked via the CPython refcount) return to a
   per-simulator free list and are reused by the next
   :meth:`Simulator.timeout` call instead of being reallocated.
+* **One pending timer per owner per instant** — a component that
+  re-arms its timer on every state change (the CPU pool) arms through
+  :meth:`Simulator.rearm`; the heap push waits for the end of the
+  instant, so an arm superseded within its instant never reaches the
+  heap and never fires.
 * **Allocation-free stepping** — :class:`Process` resumes its generator
   directly (no per-step closures, no per-interrupt closures) and
   schedules itself without intermediate helper events beyond the
@@ -50,7 +55,7 @@ import heapq
 import os
 import sys
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
 
 class SimulationError(Exception):
@@ -94,19 +99,28 @@ class Agenda:
     * FIFO entries fire in scheduling order among themselves;
     * everything else in the heap lies strictly in the future.
 
+    Timers that an owner re-arms many times within one instant (the CPU
+    pool's completion timer, armed through :meth:`Simulator.rearm`)
+    wait in ``_deferred`` until the instant ends: a re-arm by the same
+    owner overwrites the pending entry rather than leaving a stale one
+    in the heap.  The sequence number is taken at arm time, so the
+    order is exactly that of an immediate push.
+
     Whenever control leaves the drain loop (:meth:`flush`, called on
     every :meth:`Simulator.run` exit and by the one-at-a-time
-    accessors), pending FIFO entries are folded back into the heap with
-    fresh sequence numbers — they are the youngest entries at their
-    timestamp, so the total order is unchanged and the heap alone is
-    again authoritative.
+    accessors), deferred entries are pushed and pending FIFO entries
+    are folded back into the heap with fresh sequence numbers — they
+    are the youngest entries at their timestamp, so the total order is
+    unchanged and the heap alone is again authoritative.
     """
 
-    __slots__ = ("_heap", "_dq", "_sequence", "_now")
+    __slots__ = ("_heap", "_dq", "_deferred", "_sequence", "_now")
 
     def __init__(self):
         self._heap: List[Tuple[float, int, "Event"]] = []
         self._dq: Deque["Event"] = deque()  # same-instant FIFO
+        #: owner -> its pending (when, sequence, event) of this instant
+        self._deferred: Dict[Any, Tuple[float, int, "Event"]] = {}
         self._sequence = 0
         self._now = 0.0
 
@@ -118,12 +132,19 @@ class Agenda:
             self._sequence = sequence = self._sequence + 1
             heapq.heappush(self._heap, (when, sequence, event))
 
-    def flush(self) -> None:
-        """Fold pending same-instant entries into the heap.
+    def _push_deferred(self) -> None:
+        deferred = self._deferred
+        while deferred:
+            heapq.heappush(self._heap, deferred.popitem()[1])
 
-        They receive fresh (youngest) sequence numbers at the current
-        instant, which is exactly the order they already occupied.
+    def flush(self) -> None:
+        """Push deferred entries and fold same-instant ones into the heap.
+
+        Same-instant entries receive fresh (youngest) sequence numbers
+        at the current instant, which is exactly the order they already
+        occupied.
         """
+        self._push_deferred()
         dq = self._dq
         if dq:
             heap = self._heap
@@ -140,6 +161,7 @@ class Agenda:
         """Time of the earliest entry, or ``inf`` when empty."""
         if self._dq:
             return self._now
+        self._push_deferred()
         heap = self._heap
         return heap[0][0] if heap else float("inf")
 
@@ -176,10 +198,10 @@ class Agenda:
         return count
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._dq)
+        return len(self._heap) + len(self._dq) + len(self._deferred)
 
     def __bool__(self) -> bool:
-        return bool(self._heap) or bool(self._dq)
+        return bool(self._heap) or bool(self._dq) or bool(self._deferred)
 
 
 def resolve_kernel_lane(lane: Optional[str] = None) -> str:
@@ -771,9 +793,10 @@ class Simulator:
             self._agenda = CAgenda(self)
             #: in-kernel PS-pool wrappers, indexed by their C pool id
             self._c_pools: list = []
-            # instance attribute shadows the class method, so the
+            # instance attributes shadow the class methods, so the
             # pure-Python lane pays nothing for lane dispatch
             self.run = self._run_c
+            self.rearm = self._rearm_now
         else:
             self._agenda = Agenda()
         # The same-instant fast lane, pre-bound once.  Components that
@@ -786,7 +809,8 @@ class Simulator:
         self._fire_now = self._agenda._dq.append
         self._timeout_pool: list = []
         self._event_pool: list = []  # recycled plain Events (see run())
-        #: Timeout events served from the free list (introspection/tests).
+        #: Timeout events :meth:`timeout` served from the free list
+        #: (introspection/tests; :meth:`rearm` reuses without counting).
         self.timeout_reuses = 0
 
     # -- event factories ------------------------------------------------
@@ -851,6 +875,53 @@ class Simulator:
             self.timeout_reuses += 1
             return event
         return Timeout(self, delay, value)
+
+    def rearm(
+        self, owner: Any, delay: float, value: Any, callback: Callable[[Event], None]
+    ) -> None:
+        """(Re-)arm ``owner``'s timer to fire ``delay`` from now.
+
+        Like ``timeout(delay, value)`` with ``callback`` as its only
+        waiter, except that a future timer waits in the agenda's
+        deferred set until the instant ends: re-arming within the same
+        instant replaces the pending entry, so at most one of the
+        owner's timers per instant reaches the heap.  Timers armed at
+        earlier instants still fire; ``value`` (a generation number) is
+        how ``callback`` tells the latest arm from them.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay!r}")
+        agenda = self._agenda
+        deferred = agenda._deferred
+        entry = deferred.get(owner)
+        if entry is None:
+            pool = self._timeout_pool
+            event = pool.pop() if pool else Timeout.__new__(Timeout)
+            event.sim = self
+            event.callbacks = None
+            event._ok = True
+            event._triggered = True
+            event._processed = False
+        else:
+            event = entry[2]  # superseded before it reached the heap
+        event._cb = callback
+        event._value = value
+        when = self.now + delay
+        if when == agenda._now:
+            if entry is not None:
+                del deferred[owner]
+            agenda._dq.append(event)  # this instant: the FIFO, as schedule()
+        else:
+            # drawn now, so ties order exactly as if pushed now
+            agenda._sequence = sequence = agenda._sequence + 1
+            deferred[owner] = (when, sequence, event)
+
+    def _rearm_now(
+        self, owner: Any, delay: float, value: Any, callback: Callable[[Event], None]
+    ) -> None:
+        """:meth:`rearm` for the compiled lane: an immediate timeout
+        (the superseded one fires later and is ignored)."""
+        self.timeout(delay, value)._cb = callback
 
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a process from ``generator`` immediately."""
@@ -944,7 +1015,9 @@ class Simulator:
         heap = agenda._heap
         dq = agenda._dq
         popleft = dq.popleft
+        deferred = agenda._deferred
         pop = heapq.heappop
+        push = heapq.heappush
         until_t = float("inf") if until is None else until
         counter = target = None
         if hooks is not None:
@@ -1046,7 +1119,13 @@ class Simulator:
                         pool.append(event)
                     if counter is not None and len(counter) >= target:
                         return None
-                # -- phase 3: advance virtual time --------------------
+                # -- phase 3: the instant is over; push its deferred
+                #    timers, then advance virtual time ----------------
+                # (popitem, not a for loop: a loop variable left holding
+                # the last entry would keep its timer from being
+                # recycled when it fires)
+                while deferred:
+                    push(heap, deferred.popitem()[1])
                 if heap:
                     when = heap[0][0]
                     if when > until_t:
@@ -1059,8 +1138,9 @@ class Simulator:
                 else:
                     break
         finally:
-            # fold any pending same-instant entries back into the heap
-            # so the agenda is self-contained between runs
+            # push deferred timers and fold pending same-instant entries
+            # back into the heap so the agenda is self-contained between
+            # runs
             agenda.flush()
         if until is not None:
             self.now = until
@@ -1084,8 +1164,9 @@ class Simulator:
         completion timers are consumed entirely inside the kernel
         (stale-generation drop, settle, water-fill, re-arm) and only
         surface when jobs actually finished, for the pool wrapper to
-        fire their completion events.  Phases 2 and 3 are verbatim
-        copies of the Python lane's.
+        fire their completion events.  Phase 2 is a verbatim copy of
+        the Python lane's; phase 3 has no deferred timers to push
+        (:meth:`rearm` arms immediately on this lane).
         """
         now = self.now
         if until is not None and until < now:

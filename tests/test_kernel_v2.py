@@ -3,9 +3,10 @@
 Covers the corners the batched drain loop introduced: ``run(until=)``
 landing exactly on an event timestamp, the timeout free-list boundary,
 interrupting a process that is blocked inside a same-timestamp batch,
-empty-agenda ``peek()``, the :class:`Agenda` API itself, in-kernel
-:class:`KernelHooks` counting, and the composite-event callback
-detachment (with its timeout-pool interaction).
+empty-agenda ``peek()``, the :class:`Agenda` API itself, the deferred
+timers of :meth:`Simulator.rearm`, in-kernel :class:`KernelHooks`
+counting, and the composite-event callback detachment (with its
+timeout-pool interaction).
 """
 
 import heapq
@@ -243,6 +244,56 @@ class TestAgenda:
         agenda.schedule(Event(sim), 7.0)
         assert len(agenda) == 2
         assert bool(agenda)
+
+
+def _pending_rearm(callback=lambda e: None):
+    """A simulator whose only entry is a re-armed timer not yet in the heap."""
+    sim = Simulator(kernel_lane="py")
+    sim.rearm("owner", 2.0, 1, callback)
+    sim.rearm("owner", 3.0, 2, callback)  # replaces the pending arm
+    assert not sim._agenda._heap
+    return sim, sim._agenda
+
+
+class TestRearm:
+    def test_len_and_bool_count_the_pending_timer(self):
+        _sim, agenda = _pending_rearm()
+        assert len(agenda) == 1 and bool(agenda)
+
+    def test_peek_pop_and_pop_batch_see_the_pending_timer(self):
+        sim, agenda = _pending_rearm()
+        assert sim.peek() == 3.0
+        when, event = agenda.pop()
+        assert (when, event.value) == (3.0, 2) and not agenda
+        _sim, agenda = _pending_rearm()
+        batch = []
+        assert agenda.pop_batch(batch) == 1 and batch[0][0] == 3.0
+
+    def test_flush_pushes_the_pending_timer(self):
+        _sim, agenda = _pending_rearm()
+        agenda.flush()
+        assert [entry[0] for entry in agenda._heap] == [3.0]
+        assert not agenda._deferred
+
+    def test_step_fires_only_the_last_arm(self):
+        values = []
+        sim, _agenda = _pending_rearm(lambda e: values.append(e.value))
+        sim.step()
+        assert values == [2] and sim.now == 3.0 and not sim._agenda
+
+    def test_rearm_onto_the_current_instant_uses_the_fifo(self):
+        sim, agenda = _pending_rearm()
+        sim.rearm("owner", 0.0, 3, lambda e: None)
+        assert not agenda._deferred and len(agenda._dq) == 1 and len(agenda) == 1
+        assert sim.peek() == 0.0
+
+    def test_rearm_does_not_count_as_a_timeout_reuse(self):
+        sim = Simulator(kernel_lane="py")
+        sim.timeout(1.0)
+        sim.run()
+        assert len(sim._timeout_pool) == 1
+        sim.rearm("owner", 1.0, 1, lambda e: None)  # served from the free list
+        assert not sim._timeout_pool and sim.timeout_reuses == 0
 
 
 # -- KernelHooks --------------------------------------------------------------
