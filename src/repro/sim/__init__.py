@@ -13,7 +13,6 @@ from repro.sim.engine import (
     Agenda,
     AllOf,
     AnyOf,
-    CAgenda,
     Event,
     Interrupt,
     KernelHooks,
@@ -21,7 +20,6 @@ from repro.sim.engine import (
     SimulationError,
     Simulator,
     Timeout,
-    resolve_kernel_lane,
 )
 from repro.sim.distributions import (
     BlockSampler,
@@ -44,7 +42,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "BlockSampler",
-    "CAgenda",
     "Deterministic",
     "Distribution",
     "Empirical",
@@ -64,5 +61,4 @@ __all__ = [
     "Timeout",
     "Uniform",
     "fit_hyperexponential",
-    "resolve_kernel_lane",
 ]

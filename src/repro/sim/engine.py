@@ -15,12 +15,12 @@ events scheduled for the same instant fire in scheduling order.
 The hot path is tuned for the workload the DBMS model generates —
 millions of events, almost all of which have exactly one waiter:
 
-* **Batched agenda** — the :class:`Agenda` owns the (time, sequence)
-  total order behind one ``schedule`` entry point and pops whole
-  same-timestamp runs in a single call (:meth:`Agenda.pop_batch`), so
+* **Same-instant FIFO** — the :class:`Agenda` owns the (time, sequence)
+  total order behind one ``schedule`` entry point and keeps events
+  scheduled at the current instant in a plain FIFO beside the heap, so
   the zero-delay cascades the DBMS model generates (lock grants,
-  completion notifications, bootstrap events) drain without re-checking
-  the run loop's stop conditions per event.
+  completion notifications, bootstrap events) drain without heap
+  traffic.
 * **In-kernel run loop** — :meth:`Simulator.run` is a single stack
   frame with every per-event lookup bound to a local; there is no
   ``step()`` call per event.  Measurement loops hand the kernel a
@@ -174,29 +174,6 @@ class Agenda:
         self._now = when
         return when, event
 
-    def pop_batch(self, out: list) -> int:
-        """Pop every entry of the earliest timestamp into ``out``.
-
-        Entries are appended as the full ``(when, sequence, event)``
-        triples in firing order, so an interrupted consumer can push
-        unprocessed entries straight back via ``heapq.heappush``.
-        Returns the batch size; raises on an empty agenda.
-        """
-        self.flush()
-        heap = self._heap
-        if not heap:
-            raise SimulationError("agenda is empty")
-        pop = heapq.heappop
-        entry = pop(heap)
-        when = entry[0]
-        self._now = when
-        out.append(entry)
-        count = 1
-        while heap and heap[0][0] == when:
-            out.append(pop(heap))
-            count += 1
-        return count
-
     def __len__(self) -> int:
         return len(self._heap) + len(self._dq) + len(self._deferred)
 
@@ -205,209 +182,21 @@ class Agenda:
 
 
 def resolve_kernel_lane(lane: Optional[str] = None) -> str:
-    """Resolve which kernel lane a new :class:`Simulator` should run.
+    """The simulation kernel lane: always ``"py"``, the only one left.
 
     ``lane`` (or, when None, the ``REPRO_KERNEL`` environment variable)
-    selects between:
-
-    * ``"py"`` — the pure-Python kernel, the canonical implementation
-      and the default;
-    * ``"c"`` — the compiled (cffi) lane; an error if it is not built,
-      because an explicit request must never silently fall back;
-    * ``"auto"`` — the compiled lane when built, otherwise ``"py"``.
-
-    Both lanes produce bit-identical results (same IEEE-754 binary64
-    operations in the same order), so the choice only affects
-    wall-clock — never fingerprints, digests or run arrays.
+    may be unset or ``"py"``; any other value is an error, so a stale
+    selection of the removed compiled lane fails loudly instead of
+    silently running Python.
     """
     if lane is None:
         lane = os.environ.get("REPRO_KERNEL", "py")
-    lane = lane.lower()
-    if lane == "py":
-        return "py"
-    if lane in ("c", "auto"):
-        from repro.sim import _ckernel
-
-        if _ckernel.available():
-            return "c"
-        if lane == "c":
-            raise SimulationError(
-                "kernel lane 'c' requested but the compiled kernel is not built; "
-                "run `python -m repro.sim._ckernel.builder` (needs cffi and a C "
-                "compiler) or select lane 'py'/'auto'"
-            )
-        return "py"
-    raise SimulationError(f"unknown kernel lane {lane!r}; expected 'py', 'c' or 'auto'")
-
-
-class CAgenda:
-    """The :class:`Agenda` API over the compiled (cffi) kernel heap.
-
-    The (when, sequence) heap lives in C (``sim/_ckernel/kernel.c``);
-    events cross the boundary as integer *slot handles* — indices into
-    :attr:`_slots`, recycled through :attr:`_free`.  The same-instant
-    FIFO stays a Python deque so every existing zero-delay fast path
-    (``Event.succeed``, ``Simulator._fire_now``, process bootstrap)
-    works unchanged, byte for byte in the same order.
-
-    Pool completion timers armed by the in-kernel PS pools live in the
-    heap as *negative* handles and are consumed inside the kernel's
-    drain; the one visible difference from the Python lane is that the
-    one-at-a-time faces (:meth:`pop` / :meth:`pop_batch`) process such
-    timers transparently instead of surfacing them as ``Timeout``
-    events.  :meth:`Simulator.run` — the canonical face — is
-    bit-identical across lanes.
-    """
-
-    __slots__ = (
-        "_ffi",
-        "_lib",
-        "_c",
-        "_dq",
-        "_now",
-        "_slots",
-        "_free",
-        "_sim",
-        "_w_out",
-        "_s_out",
-        "_h_out",
-        "_p_out",
-    )
-
-    def __init__(self, sim: "Simulator"):
-        from repro.sim import _ckernel
-
-        loaded = _ckernel.load()
-        if loaded is None:  # pragma: no cover - guarded by resolve_kernel_lane
-            raise SimulationError("compiled kernel lane is not built")
-        self._ffi, self._lib = loaded
-        self._c = self._ffi.gc(self._lib.ck_agenda_new(), self._lib.ck_agenda_free)
-        self._dq: Deque["Event"] = deque()
-        self._now = 0.0
-        self._slots: List[Optional["Event"]] = []
-        self._free: List[int] = []
-        self._sim = sim
-        # out-params reused across every kernel call
-        self._w_out = self._ffi.new("double *")
-        self._s_out = self._ffi.new("int64_t *")
-        self._h_out = self._ffi.new("int64_t *")
-        self._p_out = self._ffi.new("int32_t *")
-
-    def schedule(self, event: "Event", when: float) -> None:
-        """Add ``event`` at time ``when`` (ties fire in schedule order)."""
-        if when == self._now:
-            self._dq.append(event)
-        else:
-            free = self._free
-            slots = self._slots
-            if free:
-                slot = free.pop()
-                slots[slot] = event
-            else:
-                slot = len(slots)
-                slots.append(event)
-            self._lib.ck_heap_push(self._c, when, slot)
-
-    def flush(self) -> None:
-        """Fold pending same-instant entries into the heap."""
-        dq = self._dq
-        if dq:
-            now = self._now
-            push = self._lib.ck_heap_push
-            c = self._c
-            free = self._free
-            slots = self._slots
-            for event in dq:
-                if free:
-                    slot = free.pop()
-                    slots[slot] = event
-                else:
-                    slot = len(slots)
-                    slots.append(event)
-                push(c, now, slot)
-            dq.clear()
-
-    def peek(self) -> float:
-        """Time of the earliest entry, or ``inf`` when empty."""
-        if self._dq:
-            return self._now
-        return self._lib.ck_peek(self._c)
-
-    def pop(self) -> Tuple[float, "Event"]:
-        """Remove and return the earliest ``(when, event)`` pair.
-
-        In-kernel pool timers encountered on the way are fired
-        in-kernel (their completions join the FIFO with fresh sequence
-        numbers, exactly as on the Python lane) and not surfaced.
-        """
-        self.flush()
-        lib = self._lib
-        c = self._c
-        w, s, h = self._w_out, self._s_out, self._h_out
-        slots = self._slots
-        while True:
-            if not lib.ck_pop(c, w, s, h):
-                raise SimulationError("agenda is empty")
-            when = w[0]
-            handle = h[0]
-            self._now = when
-            if handle >= 0:
-                event = slots[handle]
-                slots[handle] = None
-                self._free.append(handle)
-                return when, event
-            v = -(handle + 1)
-            pool = self._sim._c_pools[v & 0xFF]
-            if lib.ck_pool_timer_fire(pool._cp, when, v >> 8):
-                pool._finish_from_c()
-                self.flush()
-
-    def pop_batch(self, out: list) -> int:
-        """Pop every entry of the earliest timestamp into ``out``.
-
-        Appends ``(when, sequence, event)`` triples in firing order
-        (the sequence numbers are the kernel's, identical to the
-        Python lane's); in-kernel pool timers are consumed
-        transparently and do not appear in ``out``.
-        """
-        self.flush()
-        lib = self._lib
-        c = self._c
-        w, s, h = self._w_out, self._s_out, self._h_out
-        slots = self._slots
-        free = self._free
-        count = 0
-        batch_when = None
-        while True:
-            if batch_when is not None and lib.ck_peek(c) != batch_when:
-                break
-            if not lib.ck_pop(c, w, s, h):
-                if batch_when is None:
-                    raise SimulationError("agenda is empty")
-                break
-            when = w[0]
-            handle = h[0]
-            self._now = when
-            batch_when = when
-            if handle >= 0:
-                event = slots[handle]
-                slots[handle] = None
-                free.append(handle)
-                out.append((when, s[0], event))
-                count += 1
-            else:
-                v = -(handle + 1)
-                pool = self._sim._c_pools[v & 0xFF]
-                if lib.ck_pool_timer_fire(pool._cp, when, v >> 8):
-                    pool._finish_from_c()
-                    self.flush()
-        return count
-
-    def __len__(self) -> int:
-        return int(self._lib.ck_heap_len(self._c)) + len(self._dq)
-
-    def __bool__(self) -> bool:
-        return bool(self._dq) or self._lib.ck_heap_len(self._c) > 0
+    if lane != "py":
+        raise SimulationError(
+            f"kernel lane {lane!r} is not available: the compiled kernel lane "
+            "was removed and 'py' is the only one; unset REPRO_KERNEL"
+        )
+    return "py"
 
 
 class KernelHooks:
@@ -766,12 +555,6 @@ class Simulator:
         When true (the default), an exception escaping a process body
         propagates out of :meth:`run` instead of silently failing the
         process event.
-    kernel_lane:
-        ``"py"`` (canonical pure Python), ``"c"`` (the compiled cffi
-        kernel; errors if unbuilt) or ``"auto"`` (compiled when built,
-        else Python).  Defaults to the ``REPRO_KERNEL`` environment
-        variable, falling back to ``"py"``.  Both lanes are
-        bit-identical; see :func:`resolve_kernel_lane`.
     """
 
     #: Upper bound on the timeout free list (see :meth:`timeout`); also
@@ -784,21 +567,10 @@ class Simulator:
     #: code and safe to recycle.
     _FREE_REFCOUNT = sys.getrefcount(object())
 
-    def __init__(self, strict: bool = True, kernel_lane: Optional[str] = None):
+    def __init__(self, strict: bool = True):
         self.now: float = 0.0
         self.strict = strict
-        lane = resolve_kernel_lane(kernel_lane)
-        self.kernel_lane = lane
-        if lane == "c":
-            self._agenda = CAgenda(self)
-            #: in-kernel PS-pool wrappers, indexed by their C pool id
-            self._c_pools: list = []
-            # instance attributes shadow the class methods, so the
-            # pure-Python lane pays nothing for lane dispatch
-            self.run = self._run_c
-            self.rearm = self._rearm_now
-        else:
-            self._agenda = Agenda()
+        self._agenda = Agenda()
         # The same-instant fast lane, pre-bound once.  Components that
         # complete events on their hot paths (the CPU pool, disks, WAL,
         # front-end) cache this instead of reaching into the agenda
@@ -916,13 +688,6 @@ class Simulator:
             agenda._sequence = sequence = agenda._sequence + 1
             deferred[owner] = (when, sequence, event)
 
-    def _rearm_now(
-        self, owner: Any, delay: float, value: Any, callback: Callable[[Event], None]
-    ) -> None:
-        """:meth:`rearm` for the compiled lane: an immediate timeout
-        (the superseded one fires later and is ignored)."""
-        self.timeout(delay, value)._cb = callback
-
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
         """Start a process from ``generator`` immediately."""
         return Process(self, generator, name=name)
@@ -995,9 +760,8 @@ class Simulator:
 
         This is the kernel hot loop: one stack frame, every per-event
         lookup bound to a local.  Same-instant runs drain straight off
-        the agenda's FIFO (the inlined form of
-        :meth:`Agenda.pop_batch` — no entry tuples, no heap traffic);
-        heap pops only happen when virtual time actually advances.
+        the agenda's FIFO (no entry tuples, no heap traffic); heap pops
+        only happen when virtual time actually advances.
         After an event's callbacks ran, a plain :class:`Timeout` that
         nothing else references (verified via the CPython refcount, so
         events held by user code are never touched) is recycled into
@@ -1141,173 +905,6 @@ class Simulator:
             # push deferred timers and fold pending same-instant entries
             # back into the heap so the agenda is self-contained between
             # runs
-            agenda.flush()
-        if until is not None:
-            self.now = until
-            agenda._now = until
-        if stop is not None and stop._processed:
-            return stop._value
-        return None
-
-    def _run_c(
-        self,
-        until: Optional[float] = None,
-        stop: Optional[Event] = None,
-        hooks: Optional[KernelHooks] = None,
-    ) -> Any:
-        """:meth:`run` for the compiled lane (installed as ``self.run``).
-
-        Identical control flow, with phase 1 (heap entries at the
-        current instant) served by the C kernel's ``ck_drain``: Python
-        events come back one at a time as slot handles and go through
-        exactly the dispatch block of the Python lane; in-kernel pool
-        completion timers are consumed entirely inside the kernel
-        (stale-generation drop, settle, water-fill, re-arm) and only
-        surface when jobs actually finished, for the pool wrapper to
-        fire their completion events.  Phase 2 is a verbatim copy of
-        the Python lane's; phase 3 has no deferred timers to push
-        (:meth:`rearm` arms immediately on this lane).
-        """
-        now = self.now
-        if until is not None and until < now:
-            raise SimulationError(f"until={until!r} lies in the past (now={now!r})")
-        if stop is not None and stop._processed:
-            return stop._value
-        # locals-bound hot state
-        agenda = self._agenda
-        lib = agenda._lib
-        c = agenda._c
-        drain = lib.ck_drain
-        ck_peek = lib.ck_peek
-        ck_heap_len = lib.ck_heap_len
-        slots = agenda._slots
-        free_slots = agenda._free
-        h_out = agenda._h_out
-        p_out = agenda._p_out
-        c_pools = self._c_pools
-        dq = agenda._dq
-        popleft = dq.popleft
-        until_t = float("inf") if until is None else until
-        counter = target = None
-        if hooks is not None:
-            counter = hooks.counter
-            target = hooks.target
-            if len(counter) >= target:
-                return None
-        pool = self._timeout_pool
-        pool_limit = self.TIMEOUT_POOL_LIMIT
-        free_threshold = self._FREE_REFCOUNT + 1
-        getrefcount = sys.getrefcount
-        timeout_class = Timeout
-        now_t = agenda._now
-        event_class = Event
-        event_pool = self._event_pool
-        try:
-            while True:
-                # -- phase 1: heap entries at the current instant,
-                #    popped by the C kernel ---------------------------
-                while True:
-                    kind = drain(c, now_t, h_out, p_out)
-                    if kind == 0:
-                        break
-                    if kind == 2:
-                        # a pool completion timer finished jobs: fire
-                        # their events (same-instant FIFO appends, no
-                        # sequence numbers — exactly the Python lane)
-                        c_pools[p_out[0]]._finish_from_c()
-                        continue
-                    slot = h_out[0]
-                    event = slots[slot]
-                    slots[slot] = None
-                    free_slots.append(slot)
-                    event._processed = True
-                    callback = event._cb
-                    if callback is not None:
-                        event._cb = None
-                        callbacks = event.callbacks
-                        if callbacks is None:
-                            callback(event)
-                        else:
-                            event.callbacks = None
-                            callback(event)
-                            for callback in callbacks:
-                                callback(event)
-                    else:
-                        callbacks = event.callbacks
-                        if callbacks is not None:
-                            event.callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                    if event is stop:
-                        return event._value
-                    if (
-                        event.__class__ is timeout_class
-                        and len(pool) < pool_limit
-                        and getrefcount(event) == free_threshold
-                    ):
-                        event._value = None
-                        pool.append(event)
-                    elif (
-                        event.__class__ is event_class
-                        and len(event_pool) < pool_limit
-                        and getrefcount(event) == free_threshold
-                    ):
-                        event._value = None
-                        event_pool.append(event)
-                    if counter is not None and len(counter) >= target:
-                        return None
-                # -- phase 2: the same-instant FIFO (verbatim) --------
-                while dq:
-                    event = popleft()
-                    event._processed = True
-                    callback = event._cb
-                    if callback is not None:
-                        event._cb = None
-                        callbacks = event.callbacks
-                        if callbacks is None:
-                            callback(event)
-                        else:
-                            event.callbacks = None
-                            callback(event)
-                            for callback in callbacks:
-                                callback(event)
-                    else:
-                        callbacks = event.callbacks
-                        if callbacks is not None:
-                            event.callbacks = None
-                            for callback in callbacks:
-                                callback(event)
-                    if event is stop:
-                        return event._value
-                    if (
-                        event.__class__ is event_class
-                        and len(event_pool) < pool_limit
-                        and getrefcount(event) == free_threshold
-                    ):
-                        event._value = None
-                        event_pool.append(event)
-                    elif (
-                        event.__class__ is timeout_class
-                        and len(pool) < pool_limit
-                        and getrefcount(event) == free_threshold
-                    ):
-                        event._value = None
-                        pool.append(event)
-                    if counter is not None and len(counter) >= target:
-                        return None
-                # -- phase 3: advance virtual time --------------------
-                if ck_heap_len(c):
-                    when = ck_peek(c)
-                    if when > until_t:
-                        self.now = until
-                        agenda._now = until
-                        return None
-                    now_t = when
-                    self.now = when
-                    agenda._now = when
-                else:
-                    break
-        finally:
             agenda.flush()
         if until is not None:
             self.now = until

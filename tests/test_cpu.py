@@ -263,7 +263,7 @@ def test_pool_timer_order_holds_across_a_hooks_stop_mid_instant():
 
 
 def test_one_pool_timer_entry_per_instant():
-    sim = Simulator(kernel_lane="py")
+    sim = Simulator()
     cpu = ProcessorSharingPool(sim, cores=1)
     done = []
 
@@ -284,7 +284,7 @@ def test_one_pool_timer_entry_per_instant():
 
 
 def test_fired_pool_timers_are_recycled():
-    sim = Simulator(kernel_lane="py")
+    sim = Simulator()
     cpu = ProcessorSharingPool(sim, cores=1)
 
     def jobs():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dbms.config import HardwareConfig, InternalPolicy, IsolationLevel
+from repro.dbms.cpu import ProcessorSharingPool
 from repro.dbms.engine import DatabaseEngine
 from repro.dbms.transaction import Priority, Transaction, TxStatus
 from repro.sim.engine import Simulator
@@ -24,6 +25,12 @@ def _tx(tid, cpu=0.010, pages=0, locks=None, update=False, priority=Priority.LOW
         tid=tid, type_name="t", cpu_demand=cpu, page_accesses=pages,
         lock_requests=locks or [], is_update=update, priority=priority,
     )
+
+
+def test_cpu_is_the_processor_sharing_pool():
+    engine = _engine(Simulator(), num_cpus=2, cpu_speed=1.5)
+    assert type(engine.cpu) is ProcessorSharingPool
+    assert (engine.cpu.cores, engine.cpu.speed) == (2, 1.5)
 
 
 def test_transaction_commits():

@@ -9,6 +9,7 @@ from repro.experiments.runner import (
     mpl_sweep,
     run_setup,
 )
+from repro.sim.engine import SimulationError, resolve_kernel_lane
 from repro.workloads.setups import get_setup
 
 
@@ -121,3 +122,42 @@ class TestCli:
 
     def test_no_arguments_prints_help(self, capsys):
         assert cli_main([]) == 2
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, "py", "c", "auto", "fortran"],
+        ids=["unset", "py", "c", "auto", "garbage"],
+    )
+    def test_kernel_lane_selection(self, monkeypatch, capsys, value):
+        """The Python kernel is the only lane: any other REPRO_KERNEL
+        value is an error, and the CLI exits 2 on it instead of
+        silently running Python."""
+        if value is None:
+            monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_KERNEL", value)
+        if value in (None, "py"):
+            assert resolve_kernel_lane() == "py"
+            assert cli_main(["--list"]) == 0
+        else:
+            with pytest.raises(SimulationError, match="removed"):
+                resolve_kernel_lane()
+            assert resolve_kernel_lane("py") == "py"  # an explicit lane wins
+            assert cli_main(["--list"]) == 2
+            assert "removed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--figure", "2"],
+            ["scenario", "--list-demos"],
+            ["fuzz", "--iterations", "1"],
+        ],
+        ids=["bench", "scenario", "fuzz"],
+    )
+    def test_stale_lane_stops_every_subcommand(self, monkeypatch, capsys, argv):
+        """The lane check runs before dispatch, so no subcommand starts
+        simulating under a stale REPRO_KERNEL=c."""
+        monkeypatch.setenv("REPRO_KERNEL", "c")
+        assert cli_main(argv) == 2
+        assert "removed" in capsys.readouterr().err

@@ -30,7 +30,7 @@ assert tuning.model_mpl_response_time == 1  # closed: the CTMC is not consulted
 
 
 def _run(script: str) -> None:
-    env = dict(os.environ, PYTHONPATH=SRC, REPRO_KERNEL="py")
+    env = dict(os.environ, PYTHONPATH=SRC)
     completed = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)],
         env=env, capture_output=True, text=True, timeout=300,

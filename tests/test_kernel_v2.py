@@ -1,4 +1,4 @@
-"""Kernel v2 edge cases: batched agenda, hooks, pools, composites.
+"""Kernel v2 edge cases: agenda, hooks, pools, composites.
 
 Covers the corners the batched drain loop introduced: ``run(until=)``
 landing exactly on an event timestamp, the timeout free-list boundary,
@@ -8,8 +8,6 @@ timers of :meth:`Simulator.rearm`, in-kernel :class:`KernelHooks`
 counting, and the composite-event callback detachment (with its
 timeout-pool interaction).
 """
-
-import heapq
 
 import pytest
 
@@ -191,41 +189,14 @@ class TestAgenda:
         agenda.schedule(a, 2.0)
         agenda.schedule(b, 1.0)
         agenda.schedule(c, 2.0)
-        batch = []
-        assert agenda.pop_batch(batch) == 1
-        assert batch[0][2] is b
-        batch.clear()
-        assert agenda.pop_batch(batch) == 2
-        assert [entry[2] for entry in batch] == [a, c]  # tie: schedule order
+        popped = [agenda.pop() for _ in range(3)]
+        assert popped == [(1.0, b), (2.0, a), (2.0, c)]  # tie: schedule order
+        assert not agenda
 
-    def test_pop_batch_pops_whole_timestamp_run(self):
-        agenda = Agenda()
-        sim = Simulator()
-        events = [Event(sim) for _ in range(5)]
-        for event in events:
-            agenda.schedule(event, 3.0)
-        agenda.schedule(Event(sim), 4.0)
-        batch = []
-        assert agenda.pop_batch(batch) == 5
-        assert [entry[2] for entry in batch] == events
-        assert len(agenda) == 1
-
-    def test_pop_batch_entries_can_be_pushed_back(self):
-        agenda = Agenda()
-        sim = Simulator()
-        first, second = Event(sim), Event(sim)
-        agenda.schedule(first, 1.0)
-        agenda.schedule(second, 1.0)
-        batch = []
-        agenda.pop_batch(batch)
-        heapq.heappush(agenda._heap, batch[1])  # put the tail back
-        when, event = agenda.pop()
-        assert when == 1.0 and event is second
-
-    def test_pop_batch_on_empty_agenda_raises(self):
+    def test_pop_on_empty_agenda_raises(self):
         agenda = Agenda()
         with pytest.raises(SimulationError):
-            agenda.pop_batch([])
+            agenda.pop()
 
     def test_same_instant_entries_use_the_fifo(self):
         agenda = Agenda()
@@ -248,7 +219,7 @@ class TestAgenda:
 
 def _pending_rearm(callback=lambda e: None):
     """A simulator whose only entry is a re-armed timer not yet in the heap."""
-    sim = Simulator(kernel_lane="py")
+    sim = Simulator()
     sim.rearm("owner", 2.0, 1, callback)
     sim.rearm("owner", 3.0, 2, callback)  # replaces the pending arm
     assert not sim._agenda._heap
@@ -260,14 +231,11 @@ class TestRearm:
         _sim, agenda = _pending_rearm()
         assert len(agenda) == 1 and bool(agenda)
 
-    def test_peek_pop_and_pop_batch_see_the_pending_timer(self):
+    def test_peek_and_pop_see_the_pending_timer(self):
         sim, agenda = _pending_rearm()
         assert sim.peek() == 3.0
         when, event = agenda.pop()
         assert (when, event.value) == (3.0, 2) and not agenda
-        _sim, agenda = _pending_rearm()
-        batch = []
-        assert agenda.pop_batch(batch) == 1 and batch[0][0] == 3.0
 
     def test_flush_pushes_the_pending_timer(self):
         _sim, agenda = _pending_rearm()
@@ -288,7 +256,7 @@ class TestRearm:
         assert sim.peek() == 0.0
 
     def test_rearm_does_not_count_as_a_timeout_reuse(self):
-        sim = Simulator(kernel_lane="py")
+        sim = Simulator()
         sim.timeout(1.0)
         sim.run()
         assert len(sim._timeout_pool) == 1
