@@ -41,13 +41,12 @@ runner's cache key.
 
 Compatibility is structural: :meth:`ScenarioSpec.build_config`
 constructs exactly the :class:`~repro.core.system.SystemConfig` /
-:class:`~repro.core.cluster.ClusterConfig` the legacy
-:class:`~repro.experiments.parallel.RunSpec` produced, and
-:meth:`ScenarioSpec.fingerprint` only appends ``extra`` entries for
-features the legacy path could not express — so every legacy spec
-keeps its exact cache key (pinned by
-``tests/data/scenario_golden_fingerprints.json``) and an all-default
-scenario runs bit-identically to the legacy path.
+:class:`~repro.core.cluster.ClusterConfig` the pre-scenario run specs
+produced, and :meth:`ScenarioSpec.fingerprint` only appends ``extra``
+entries for features those specs could not express — so every run
+they could spell keeps its exact cache key (pinned by
+``tests/data/scenario_golden_fingerprints.json``), and result caches
+warmed by older versions keep hitting.
 """
 
 from __future__ import annotations
@@ -626,8 +625,7 @@ class ScenarioSpec:
     The all-default scenario is the legacy default run: Table 2
     setup 1, closed arrivals (100 clients), one shard, a static
     unlimited MPL, 1500 measured transactions — and it fingerprints
-    and runs byte-identically to the legacy
-    :class:`~repro.experiments.parallel.RunSpec` path.
+    byte-identically to the pre-scenario default run spec.
 
     ``arrival=None`` keeps the legacy closed default (100 clients, no
     think time); ``arrival_rate`` is the legacy open-Poisson knob kept
@@ -830,7 +828,7 @@ class ScenarioSpec:
     def build_config(self) -> AnyConfig:
         """The system/cluster config this scenario describes.
 
-        Field-for-field the construction the legacy ``RunSpec.config``
+        Field-for-field the construction the pre-scenario run specs
         performed — which is what keeps every legacy fingerprint and
         result byte-identical.
         """

@@ -6,8 +6,8 @@ job using more than one CPU at a time.  Internal CPU prioritization
 (the ``renice`` experiment of §5.2) skews the shares by a per-class
 weight, which is exactly weighted processor sharing.
 
-The implementation is event driven: whenever the active-job set (or a
-weight) changes, remaining service is settled at the old rates, new
+The implementation is event driven: whenever the active-job set
+changes, remaining service is settled at the old rates, new
 rates are computed by max-min water-filling (each job's rate is capped
 at one core), and a single completion timer is scheduled for the next
 finishing job.  This is exact, not time-sliced.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.station import ClassStats, Station
 
 _EPSILON = 1e-9
@@ -158,19 +158,6 @@ class ProcessorSharingPool(Station):
     def serve(self, demand: float, priority: int = 0, weight: float = 1.0) -> Event:
         """The :class:`~repro.sim.station.Station` face of :meth:`execute`."""
         return self.execute(demand, weight=weight, priority=priority)
-
-    def set_weight(self, handle: int, weight: float) -> None:
-        """Change a running job's weight (rarely needed; for tooling)."""
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight!r}")
-        job = self._jobs.get(handle)
-        if job is None:
-            raise SimulationError(f"no active job with handle {handle!r}")
-        self._settle()
-        if (job.weight != 1.0) != (weight != 1.0):
-            self._weighted_jobs += 1 if weight != 1.0 else -1
-        job.weight = weight
-        self._reallocate_and_arm()
 
     @property
     def active_jobs(self) -> int:
@@ -336,24 +323,6 @@ class ProcessorSharingPool(Station):
                 job.rate = self.speed
                 capacity -= self.speed
             active = [job for job in active if job.rate == 0.0]
-
-    def _reallocate_and_arm(self) -> None:
-        self._water_fill()
-        self._complete_finished()
-        self._arm_timer()
-
-    def _complete_finished(self) -> None:
-        # collect lazily: most calls find nothing finished, so the
-        # common case allocates no list
-        finished = None
-        for job in self._jobs.values():
-            if job.remaining <= _EPSILON:
-                if finished is None:
-                    finished = [job]
-                else:
-                    finished.append(job)
-        if finished is not None:
-            self._finish_jobs(finished)
 
     def _arm_timer(self) -> None:
         self._timer_generation = generation = self._timer_generation + 1

@@ -292,8 +292,7 @@ def _load_scenarios(args: argparse.Namespace) -> "tuple[List[ScenarioSpec], bool
                 f"unknown figure grid {args.grid!r}; available: "
                 + ", ".join(sorted(figures.FIGURE_GRIDS))
             )
-        specs = [parallel.as_scenario(spec) for spec in builder(fast=not args.full)]
-        return specs, False
+        return builder(fast=not args.full), False
     if args.demo is not None:
         demos = scenario_module.demo_scenarios()
         spec = demos.get(args.demo)

@@ -37,7 +37,7 @@ from repro.dbms.config import InternalPolicy
 from repro.dbms.transaction import Priority
 from repro.experiments import report
 from repro.experiments.parallel import DEFAULT_SEED, run_grid
-from repro.experiments.runner import scenario_for, spec_for, tune_setup
+from repro.experiments.runner import scenario_for, tune_setup
 from repro.priority.evaluation import (
     HIGH_PRIORITY_FRACTION,
     PrioritizationOutcome,
@@ -128,7 +128,7 @@ _DEFAULT_MPLS = (1, 2, 3, 5, 7, 10, 15, 20, 30)
 
 def figure2(fast: bool = True, mpls: Sequence[int] = _DEFAULT_MPLS) -> List[FigureResult]:
     """Throughput vs MPL for the CPU-bound workloads (setups 1–4)."""
-    results = run_grid(figure2_grid(fast, mpls))
+    results = run_grid(GRID_DEFS["2"].build(fast, mpls))
     split = 2 * len(mpls)
     panel_a = FigureResult(
         figure="2a",
@@ -159,7 +159,7 @@ def figure2(fast: bool = True, mpls: Sequence[int] = _DEFAULT_MPLS) -> List[Figu
 
 def figure3(fast: bool = True, mpls: Sequence[int] = _DEFAULT_MPLS) -> List[FigureResult]:
     """Throughput vs MPL for the I/O-bound workloads (setups 5–10)."""
-    results = run_grid(figure3_grid(fast, mpls))
+    results = run_grid(GRID_DEFS["3"].build(fast, mpls))
     split = 4 * len(mpls)
     panel_a = FigureResult(
         figure="3a",
@@ -190,7 +190,7 @@ def figure3(fast: bool = True, mpls: Sequence[int] = _DEFAULT_MPLS) -> List[Figu
 
 def figure4(fast: bool = True, mpls: Sequence[int] = _DEFAULT_MPLS + (35,)) -> List[FigureResult]:
     """Throughput vs MPL for the balanced CPU+I/O workload (setups 11, 12)."""
-    results = run_grid(figure4_grid(fast, mpls))
+    results = run_grid(GRID_DEFS["4"].build(fast, mpls))
     return [
         FigureResult(
             figure="4",
@@ -209,7 +209,7 @@ def figure4(fast: bool = True, mpls: Sequence[int] = _DEFAULT_MPLS + (35,)) -> L
 
 def figure5(fast: bool = True, mpls: Sequence[int] = (1, 2, 3, 5, 7, 10, 15, 20, 30, 40)) -> List[FigureResult]:
     """Throughput vs MPL under heavy locking: RR vs UR isolation."""
-    results = run_grid(figure5_grid(fast, mpls))
+    results = run_grid(GRID_DEFS["5"].build(fast, mpls))
     split = 2 * len(mpls)
     panel_a = FigureResult(
         figure="5a",
@@ -253,14 +253,14 @@ def section32_response_time(
     subjects = ((1, "TPC-C (W_CPU-inventory)"), (3, "TPC-W (W_CPU-browsing)"))
     # phase 1: closed-system capacity probes, one grid
     capacity_runs = run_grid([
-        spec_for(get_setup(sid), mpl=None, transactions=max(400, transactions // 2))
+        scenario_for(get_setup(sid), mpl=None, transactions=max(400, transactions // 2))
         for sid, _name in subjects
     ])
     capacities = {sid: run.throughput
                   for (sid, _name), run in zip(subjects, capacity_runs)}
     # phase 2: the full (setup, load, mpl) open-system grid
     grid = [
-        spec_for(
+        scenario_for(
             get_setup(sid), mpl=mpl, transactions=transactions,
             arrival_rate=load * capacities[sid],
         )
@@ -426,7 +426,7 @@ def _figure11_threshold(
     setup_ids = tuple(s.setup_id for s in SETUPS)
     # phase 1: the "No Prio" references for all 17 setups, one grid
     references = run_grid([
-        spec_for(get_setup(sid), mpl=None, transactions=transactions, seed=seed)
+        scenario_for(get_setup(sid), mpl=None, transactions=transactions, seed=seed)
         for sid in setup_ids
     ])
     # phase 2: tune each setup's MPL (inherently sequential feedback loops)
@@ -444,7 +444,7 @@ def _figure11_threshold(
     ]
     # phase 3: the prioritized runs at the tuned MPLs, one grid
     prio_runs = run_grid([
-        spec_for(
+        scenario_for(
             get_setup(sid), mpl=mpl, transactions=transactions, seed=seed,
             policy="priority", high_priority_fraction=HIGH_PRIORITY_FRACTION,
         )
@@ -504,8 +504,8 @@ def _internal_vs_external(
     budgets = (("ext95", 0.05), ("ext80", 0.20), ("ext100", 0.005))
     # phase 1: the shared reference + the internal-prioritization run
     no_prio, internal_run = run_grid([
-        spec_for(setup, mpl=None, transactions=transactions, seed=seed),
-        spec_for(
+        scenario_for(setup, mpl=None, transactions=transactions, seed=seed),
+        scenario_for(
             setup, mpl=None, transactions=transactions, seed=seed,
             internal=internal, high_priority_fraction=HIGH_PRIORITY_FRACTION,
         ),
@@ -522,7 +522,7 @@ def _internal_vs_external(
     ]
     # phase 3: the external-prioritization runs, one grid
     ext_runs = run_grid([
-        spec_for(
+        scenario_for(
             setup, mpl=mpl, transactions=transactions, seed=seed,
             policy="priority", high_priority_fraction=HIGH_PRIORITY_FRACTION,
         )
@@ -626,7 +626,7 @@ def partly_open(
     transactions = 400 if fast else 1500
     # phase 1: closed capacity probe fixes the offered load at 80%
     probe = run_grid(
-        [spec_for(get_setup(1), mpl=None, transactions=max(400, transactions // 2))]
+        [scenario_for(get_setup(1), mpl=None, transactions=max(400, transactions // 2))]
     )[0]
     rate = 0.8 * probe.throughput
     runs = iter(run_grid(partly_open_grid(fast, mpls, rate=rate)))
@@ -681,7 +681,7 @@ def time_varying_controller(
     transactions = 600 if fast else 1500
     # phase 1: closed capacity probe to scale the rate profile
     probe = run_grid(
-        [spec_for(setup, mpl=None, transactions=max(400, transactions // 2), seed=seed)]
+        [scenario_for(setup, mpl=None, transactions=max(400, transactions // 2), seed=seed)]
     )[0]
     rate_function = SinusoidRate(
         base=0.7 * probe.throughput, amplitude=0.25 * probe.throughput, period=20.0
@@ -1782,31 +1782,6 @@ GRID_DEFS: Dict[str, GridDef] = {
         builder=elastic_grid,
     ),
 }
-
-
-def figure2_grid(fast: bool = True, mpls: Optional[Sequence[int]] = None) -> List[ScenarioSpec]:
-    """The simulation grid behind Figure 2 (both panels)."""
-    return GRID_DEFS["2"].build(fast, mpls)
-
-
-def figure3_grid(fast: bool = True, mpls: Optional[Sequence[int]] = None) -> List[ScenarioSpec]:
-    """The simulation grid behind Figure 3 (both panels)."""
-    return GRID_DEFS["3"].build(fast, mpls)
-
-
-def figure4_grid(fast: bool = True, mpls: Optional[Sequence[int]] = None) -> List[ScenarioSpec]:
-    """The simulation grid behind Figure 4."""
-    return GRID_DEFS["4"].build(fast, mpls)
-
-
-def figure5_grid(fast: bool = True, mpls: Optional[Sequence[int]] = None) -> List[ScenarioSpec]:
-    """The simulation grid behind Figure 5 (both panels)."""
-    return GRID_DEFS["5"].build(fast, mpls)
-
-
-def smoke_grid(fast: bool = True) -> List[ScenarioSpec]:
-    """A deliberately cheap grid for CI smoke runs and cache benchmarks."""
-    return GRID_DEFS["smoke"].build(fast)
 
 
 #: Figure key → grid builder, the machine-readable face of the figures

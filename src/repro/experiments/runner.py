@@ -25,23 +25,8 @@ from repro.core.scenario import (
 from repro.core.system import RunResult, SimulatedSystem, SystemConfig
 from repro.core.tuner import MplTuner, TuningResult
 from repro.dbms.config import InternalPolicy
-from repro.experiments.parallel import ParallelRunner, RunSpec, run_grid
+from repro.experiments.parallel import run_grid
 from repro.workloads.setups import Setup, get_setup
-
-
-def scenario_results(
-    specs: Sequence[ScenarioSpec],
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> List[RunResult]:
-    """Run scenario specs through a dedicated :class:`ParallelRunner`.
-
-    The scenario fuzzer's ``--jobs N`` invariance oracle goes through
-    here: a fresh runner (not the process-global one) so the worker
-    pool size is exactly what the oracle asked for, with the same
-    content-addressed result cache any other grid shares.
-    """
-    return ParallelRunner(jobs=jobs, cache_dir=cache_dir).run(list(specs))
 
 
 def setup_config(
@@ -69,52 +54,6 @@ def setup_config(
     )
 
 
-def spec_for(
-    setup: Setup,
-    mpl: Optional[int] = None,
-    transactions: int = 1500,
-    seed: int = 11,
-    policy: str = "fifo",
-    internal: Optional[InternalPolicy] = None,
-    high_priority_fraction: float = 0.0,
-    arrival_rate: Optional[float] = None,
-    arrival: Optional[ArrivalSpec] = None,
-    shards: int = 1,
-    routing: str = "round_robin",
-    routing_weights: Optional[Tuple[float, ...]] = None,
-    tag: str = "",
-) -> RunSpec:
-    """The :class:`RunSpec` equivalent of a :func:`run_setup` call.
-
-    Topology knobs land in a :class:`TopologySpec` (the ``shards`` /
-    ``routing`` / ``routing_weights`` fields on :class:`RunSpec` are
-    deprecated); single-shard defaults stay implicit so legacy
-    fingerprints are untouched.
-    """
-    clustered = (
-        shards != 1 or routing != "round_robin" or routing_weights is not None
-    )
-    topology = (
-        TopologySpec(shards=shards, routing=routing,
-                     routing_weights=routing_weights)
-        if clustered
-        else None
-    )
-    return RunSpec(
-        setup_id=setup.setup_id,
-        mpl=mpl,
-        transactions=transactions,
-        seed=seed,
-        policy=policy,
-        internal=internal,
-        high_priority_fraction=high_priority_fraction,
-        arrival_rate=arrival_rate,
-        arrival=arrival,
-        topology=topology,
-        tag=tag,
-    )
-
-
 def scenario_for(
     setup: Setup,
     mpl: Optional[int] = None,
@@ -133,9 +72,11 @@ def scenario_for(
 ) -> ScenarioSpec:
     """The :class:`ScenarioSpec` equivalent of a :func:`run_setup` call.
 
-    The scenario-native sibling of :func:`spec_for` — same knobs, same
-    fingerprints (a static-control scenario hashes exactly like the
-    legacy spec), used by the figure grids.
+    Every setup-at-an-MPL run is spelled this way: :func:`run_setup`,
+    :func:`mpl_sweep`, the figure grids.  A static-control scenario
+    with default topology and measurement hashes exactly like the
+    pre-scenario cache key of the same run, so caches warmed by older
+    versions still hit (pinned by the golden corpus).
     """
     return ScenarioSpec(
         workload=WorkloadRef(setup_id=setup.setup_id),
@@ -172,10 +113,10 @@ def run_setup(
     Canonical Table 2 setups go through the active
     :class:`~repro.experiments.parallel.ParallelRunner` (and hence its
     result cache); ad-hoc :class:`Setup` objects that don't match their
-    setup id run directly, since a :class:`RunSpec` only names a
+    setup id run directly, since a :class:`ScenarioSpec` only names a
     canonical setup.
     """
-    spec = spec_for(
+    spec = scenario_for(
         setup,
         mpl=mpl,
         transactions=transactions,
@@ -214,8 +155,8 @@ def mpl_sweep(
 ) -> List[Tuple[Optional[int], RunResult]]:
     """Run a setup across MPL values (common seed = paired comparison)."""
     grid = [
-        spec_for(setup, mpl=mpl, transactions=transactions, seed=seed,
-                 arrival_rate=arrival_rate)
+        scenario_for(setup, mpl=mpl, transactions=transactions, seed=seed,
+                     arrival_rate=arrival_rate)
         for mpl in mpls
     ]
     return list(zip(mpls, run_grid(grid)))
@@ -269,8 +210,8 @@ def find_min_mpl_experimental(
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
     ordered = sorted(candidate_mpls)
-    grid = [spec_for(setup, mpl=None, transactions=transactions, seed=seed)] + [
-        spec_for(setup, mpl=mpl, transactions=transactions, seed=seed)
+    grid = [scenario_for(setup, mpl=None, transactions=transactions, seed=seed)] + [
+        scenario_for(setup, mpl=mpl, transactions=transactions, seed=seed)
         for mpl in ordered
     ]
     baseline, *candidates = run_grid(grid)

@@ -5,25 +5,26 @@ import os
 
 import pytest
 
+from repro.core.scenario import ScenarioSpec
 from repro.core.system import RunResult, canonical_jsonable
+from repro.dbms.config import InternalPolicy
 from repro.experiments import figures
 from repro.experiments.__main__ import main as cli_main
 from repro.experiments.parallel import (
     ParallelRunner,
     ResultCache,
-    RunSpec,
     get_runner,
     run_grid,
     using_runner,
 )
-from repro.experiments.runner import run_setup
+from repro.experiments.runner import run_setup, scenario_for
 from repro.sim.random import derive_seed, replicate_seeds
 from repro.workloads.setups import get_setup
 
 
 def _grid(transactions=120, seed=7):
     return [
-        RunSpec(setup_id=1, mpl=mpl, transactions=transactions, seed=seed)
+        scenario_for(get_setup(1), mpl=mpl, transactions=transactions, seed=seed)
         for mpl in (1, 3, 5, 8)
     ]
 
@@ -39,13 +40,13 @@ class TestDeterminism:
         ]
 
     def test_matches_direct_simulation(self):
-        spec = RunSpec(setup_id=1, mpl=5, transactions=150, seed=3)
+        spec = scenario_for(get_setup(1), mpl=5, transactions=150, seed=3)
         direct = run_setup(get_setup(1), mpl=5, transactions=150, seed=3)
         pooled = ParallelRunner(jobs=2).run([spec, spec])
         assert pooled[0].to_json_dict() == direct.to_json_dict()
 
     def test_duplicate_specs_execute_once(self):
-        spec = RunSpec(setup_id=1, mpl=2, transactions=100, seed=5)
+        spec = scenario_for(get_setup(1), mpl=2, transactions=100, seed=5)
         runner = ParallelRunner(jobs=1)
         first, second = runner.run([spec, spec])
         assert runner.stats.executed == 1
@@ -70,13 +71,37 @@ class TestResultCache:
 
     def test_different_config_misses(self, tmp_path):
         runner = ParallelRunner(jobs=1, cache_dir=str(tmp_path))
-        runner.run([RunSpec(setup_id=1, mpl=2, transactions=100, seed=5)])
-        runner.run([RunSpec(setup_id=1, mpl=2, transactions=100, seed=6)])
+        runner.run([scenario_for(get_setup(1), mpl=2, transactions=100, seed=5)])
+        runner.run([scenario_for(get_setup(1), mpl=2, transactions=100, seed=6)])
         assert runner.stats.cache_hits == 0
         assert runner.stats.executed == 1
 
+    def test_entry_spec_decodes_to_its_key(self, tmp_path):
+        """Every entry's ``spec`` is the run's scenario JSON, whatever
+        knob made it: topology, internal policy and warm-up included."""
+        setup = get_setup(1)
+        with using_runner(ParallelRunner(jobs=1, cache_dir=str(tmp_path))):
+            run_setup(setup, mpl=4, transactions=80, seed=5)
+            run_setup(setup, mpl=4, transactions=80, seed=5,
+                      internal=InternalPolicy())
+            run_grid([
+                scenario_for(setup, mpl=4, transactions=80, seed=5,
+                             shards=2, routing="hash"),
+                scenario_for(setup, mpl=4, transactions=80, seed=5,
+                             internal=InternalPolicy(), warmup_fraction=0.5),
+            ])
+        entries = []
+        for path in sorted(tmp_path.glob("*/*.json")):
+            with open(path, encoding="utf-8") as handle:
+                entries.append(json.load(handle))
+        assert len(entries) == 4
+        for entry in entries:
+            spec = ScenarioSpec.from_json_dict(entry["spec"])
+            assert spec.fingerprint() == entry["key"]
+        assert len({json.dumps(e["spec"], sort_keys=True) for e in entries}) == 4
+
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        spec = RunSpec(setup_id=1, mpl=2, transactions=100, seed=5)
+        spec = scenario_for(get_setup(1), mpl=2, transactions=100, seed=5)
         cache = ResultCache(str(tmp_path))
         key = spec.fingerprint()
         path = os.path.join(str(tmp_path), key[:2], f"{key}.json")
@@ -92,25 +117,23 @@ class TestResultCache:
 
 class TestFingerprints:
     def test_stable_and_distinct(self):
-        a = RunSpec(setup_id=1, mpl=5, transactions=300, seed=11)
-        assert a.fingerprint() == RunSpec(
-            setup_id=1, mpl=5, transactions=300, seed=11
-        ).fingerprint()
-        assert a.fingerprint() != RunSpec(
-            setup_id=1, mpl=6, transactions=300, seed=11
-        ).fingerprint()
-        assert a.fingerprint() != RunSpec(
-            setup_id=2, mpl=5, transactions=300, seed=11
-        ).fingerprint()
+        def key(setup_id, mpl):
+            return scenario_for(
+                get_setup(setup_id), mpl=mpl, transactions=300, seed=11
+            ).fingerprint()
+
+        assert key(1, 5) == key(1, 5)
+        assert key(1, 5) != key(1, 6)
+        assert key(1, 5) != key(2, 5)
 
     def test_tag_not_hashed(self):
-        base = RunSpec(setup_id=1, mpl=5, transactions=300, tag="")
-        tagged = RunSpec(setup_id=1, mpl=5, transactions=300, tag="panel-a")
+        base = scenario_for(get_setup(1), mpl=5, transactions=300, tag="")
+        tagged = scenario_for(get_setup(1), mpl=5, transactions=300, tag="panel-a")
         assert base.fingerprint() == tagged.fingerprint()
 
     def test_canonical_jsonable_roundtrips_to_json(self):
-        spec = RunSpec(setup_id=1, mpl=5, transactions=300)
-        blob = json.dumps(canonical_jsonable(spec.config()), sort_keys=True)
+        spec = scenario_for(get_setup(1), mpl=5, transactions=300)
+        blob = json.dumps(canonical_jsonable(spec.build_config()), sort_keys=True)
         assert "W_CPU-inventory" in blob
 
 
@@ -298,7 +321,7 @@ class TestCli:
         with open(output, encoding="utf-8") as handle:
             artifact = json.load(handle)
         assert artifact["repeats"] == 2
-        assert artifact["grid_size"] == 2 * len(figures.smoke_grid())
+        assert artifact["grid_size"] == 2 * len(figures.GRID_DEFS["smoke"].build(True))
         # replicates get distinct derived seeds, but within a replicate
         # every grid point shares one seed (common random numbers)
         seeds = {run["seed"] for run in artifact["runs"]}
@@ -309,8 +332,6 @@ class TestCli:
 
 class TestFigureGrids:
     def test_grids_are_data(self):
-        from repro.core.scenario import ScenarioSpec
-
         for key, builder in figures.FIGURE_GRIDS.items():
             grid = builder(fast=True)
             assert grid, key
@@ -318,7 +339,7 @@ class TestFigureGrids:
 
     def test_figure2_consumes_its_grid(self):
         mpls = (1, 5)
-        grid = figures.figure2_grid(fast=True, mpls=mpls)
+        grid = figures.GRID_DEFS["2"].build(True, mpls)
         assert len(grid) == 4 * len(mpls)
         assert {spec.setup_id for spec in grid} == {1, 2, 3, 4}
 
@@ -327,8 +348,7 @@ class TestFigureGrids:
 
         Expectations are spelled out literally (setup order, MPL axis,
         per-panel sample sizes from the pre-refactor helpers) so a typo
-        in GRID_DEFS cannot hide behind the wrappers that now delegate
-        to it.
+        in GRID_DEFS cannot hide behind the figures that build from it.
         """
         expected = {
             # key: (mpls, [(setup_ids, fast_txns, full_txns), ...])
@@ -353,8 +373,9 @@ class TestFigureGrids:
                 got = [(s.setup_id, s.mpl, s.transactions) for s in grid]
                 assert got == want, (key, fast)
 
-    def test_smoke_grid_shrinks_when_fast(self):
-        assert len(figures.smoke_grid(fast=True)) < len(figures.smoke_grid(fast=False))
+    def test_smoke_shrinks_when_fast(self):
+        smoke = figures.GRID_DEFS["smoke"]
+        assert len(smoke.build(True)) < len(smoke.build(False))
 
     def test_replica_fanout_grid_shape(self):
         """One primary-only baseline, then every fan-out per replica count."""
